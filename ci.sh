@@ -10,6 +10,12 @@ cargo fmt --check
 echo "== build (release, offline) =="
 cargo build --release --offline
 
+echo "== benchmark build (release, offline) =="
+# perfbench is its own Cargo workspace built against these crates; build
+# it here so a crate API change that breaks it fails CI, not the
+# benchmark run. Same target directory as perfbench/run.py.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tests (workspace, offline) =="
 cargo test -q --offline --workspace
 

@@ -32,9 +32,11 @@ use udma_bus::sim::{
 };
 use udma_bus::SimTime;
 use udma_iommu::{Asid, Iommu, IotlbConfig, IotlbStats};
-use udma_mem::{Access, MemFault, Perms, PhysAddr, PhysMemory, VirtAddr, VirtPage, PAGE_SIZE};
+use udma_mem::{
+    Access, MemFault, Perms, PhysAddr, PhysFrame, PhysMemory, VirtAddr, VirtPage, PAGE_SIZE,
+};
 use udma_nic::{
-    crc32, CrashKind, CrashPlan, CrashStats, DstAnnouncement, Envelope, FaultPlan, FaultyLink,
+    CrashKind, CrashPlan, CrashStats, Crc32, DstAnnouncement, Envelope, FaultPlan, FaultyLink,
     HealthConfig, HealthState, HealthStats, LinkModel, NackVerdict, NetMsg, NodeLinkStats,
     PeerHealth, ReliabilityConfig, SendXfer, XferCounters, XferId, XferState,
 };
@@ -402,9 +404,18 @@ impl Shard {
         node as usize % self.num_shards
     }
 
-    fn log_event(&mut self, at: SimTime, src_node: u32, seq: u64, node: u32, what: String) {
+    /// Appends to the event log when it is recorded; `what` is only
+    /// formatted then, so an unrecorded run builds no text at all.
+    fn log_event(
+        &mut self,
+        at: SimTime,
+        src_node: u32,
+        seq: u64,
+        node: u32,
+        what: impl FnOnce() -> String,
+    ) {
         if let Some(log) = &mut self.log {
-            log.push(LogLine { at, src_node, seq, node, what });
+            log.push(LogLine { at, src_node, seq, node, what: what() });
         }
     }
 
@@ -431,7 +442,7 @@ impl Shard {
         let x = &mut n.xfers[index as usize];
         if x.state().terminal() {
             // A retry raced a link failure; nothing to send.
-            self.log_event(at, src_node, seq, node, format!("launch {} skipped", index));
+            self.log_event(at, src_node, seq, node, || format!("launch {} skipped", index));
             return;
         }
         let dst_shard = x.dst_node as usize % self.num_shards;
@@ -442,7 +453,9 @@ impl Shard {
             if !n.up {
                 let x = &mut n.xfers[index as usize];
                 x.abort_node_down(at);
-                self.log_event(at, src_node, seq, node, format!("launch {} on dead node", index));
+                self.log_event(at, src_node, seq, node, || {
+                    format!("launch {} on dead node", index)
+                });
                 return;
             }
             // Fail fast while this sender's detector holds the
@@ -451,13 +464,9 @@ impl Shard {
             if !n.peers.entry(dst_node).or_default().admit() {
                 let x = &mut n.xfers[index as usize];
                 x.abort_node_down(at);
-                self.log_event(
-                    at,
-                    src_node,
-                    seq,
-                    node,
-                    format!("launch {} fail-fast: n{} down", index, dst_node),
-                );
+                self.log_event(at, src_node, seq, node, || {
+                    format!("launch {} fail-fast: n{} down", index, dst_node)
+                });
                 return;
             }
         }
@@ -489,19 +498,14 @@ impl Shard {
         let (msg, arrival) =
             n.xfers[index as usize].launch_chunk(at, &self.link, &self.rel, n.chaos.as_mut());
         let x = &n.xfers[index as usize];
-        let what = format!(
-            "launch {} -> n{} arriving {} ({})",
-            x.id,
-            dst_node,
-            arrival,
-            if x.state() == XferState::LinkFailed {
-                "link-failed"
-            } else if hung {
-                "hung-ni"
-            } else {
-                "ok"
-            }
-        );
+        let id = x.id;
+        let fate = if x.state() == XferState::LinkFailed {
+            "link-failed"
+        } else if hung {
+            "hung-ni"
+        } else {
+            "ok"
+        };
         let launches = x.counters.launches;
         let env = Envelope { src_node: node, dst_node, seq: n.seq, src_inc, dst_inc, msg };
         n.seq += 1;
@@ -525,7 +529,9 @@ impl Shard {
                 work: Work::Lease { node, index, snapshot: launches },
             }));
         }
-        self.log_event(at, src_node, seq, node, what);
+        self.log_event(at, src_node, seq, node, || {
+            format!("launch {} -> n{} arriving {} ({})", id, dst_node, arrival, fate)
+        });
     }
 
     /// A scripted failure strikes `node`.
@@ -570,7 +576,7 @@ impl Shard {
                 format!("fault-service stall until {}", n.stall_until)
             }
         };
-        self.log_event(at, node, seq, node, what);
+        self.log_event(at, node, seq, node, || what);
     }
 
     /// A scripted recovery: reboot (new incarnation, ledger replay,
@@ -648,7 +654,7 @@ impl Shard {
             };
             self.tx[peer as usize % self.num_shards].send(at, env);
         }
-        self.log_event(at, node, seq, node, what);
+        self.log_event(at, node, seq, node, || what);
     }
 
     /// An ACK lease fired: decide whether it was a miss, and what the
@@ -659,7 +665,7 @@ impl Shard {
         if x.state().terminal() || x.counters.launches != snapshot {
             // An ACK, NACK or relaunch moved the transfer since this
             // lease was armed — not a miss.
-            self.log_event(at, node, seq, node, format!("lease {} superseded", index));
+            self.log_event(at, node, seq, node, || format!("lease {} superseded", index));
             return;
         }
         let dst = x.dst_node;
@@ -684,13 +690,9 @@ impl Shard {
                     work: Work::Probe { node, peer: dst },
                 }));
             }
-            self.log_event(
-                at,
-                node,
-                seq,
-                node,
-                format!("lease {} miss: n{} down, {} transfers aborted", index, dst, killed),
-            );
+            self.log_event(at, node, seq, node, || {
+                format!("lease {} miss: n{} down, {} transfers aborted", index, dst, killed)
+            });
         } else {
             // Suspect (or still counting): go-back-N resends the unacked
             // chunk; the relaunch arms the next lease.
@@ -701,13 +703,9 @@ impl Shard {
                 seq: launch_seq,
                 work: Work::Launch { node, index },
             }));
-            self.log_event(
-                at,
-                node,
-                seq,
-                node,
-                format!("lease {} miss ({:?}): relaunch", index, state),
-            );
+            self.log_event(at, node, seq, node, || {
+                format!("lease {} miss ({:?}): relaunch", index, state)
+            });
         }
     }
 
@@ -720,7 +718,7 @@ impl Shard {
         }
         let state = n.peers.get(&peer).map_or(HealthState::Up, |p| p.state());
         if state != HealthState::Down {
-            self.log_event(at, node, seq, node, format!("probe n{} cancelled", peer));
+            self.log_event(at, node, seq, node, || format!("probe n{} cancelled", peer));
             return;
         }
         let env = Envelope {
@@ -748,7 +746,7 @@ impl Shard {
                 work: Work::Probe { node, peer },
             }));
         }
-        self.log_event(at, node, seq, node, format!("probe n{} ({:?})", peer, state));
+        self.log_event(at, node, seq, node, || format!("probe n{} ({:?})", peer, state));
     }
 
     fn dispatch_net(&mut self, at: SimTime, seq: u64, env: Envelope) {
@@ -758,7 +756,7 @@ impl Shard {
             // A dead or hung node hears nothing; the frame evaporates.
             if !n.up || n.hung {
                 n.crash.dropped_down += 1;
-                self.log_event(at, src_node, seq, dst_node, "frame dropped: node dead".into());
+                self.log_event(at, src_node, seq, dst_node, || "frame dropped: node dead".into());
                 return;
             }
             if msg.stateful() {
@@ -770,24 +768,16 @@ impl Shard {
                 if dst_inc != n.inc {
                     n.crash.fenced += 1;
                     let inc = n.inc;
-                    self.log_event(
-                        at,
-                        src_node,
-                        seq,
-                        dst_node,
-                        format!("fenced: for inc {} but node is inc {}", dst_inc, inc),
-                    );
+                    self.log_event(at, src_node, seq, dst_node, || {
+                        format!("fenced: for inc {} but node is inc {}", dst_inc, inc)
+                    });
                     return;
                 }
                 if n.peers.entry(src_node).or_default().note_epoch(src_inc) {
                     n.crash.fenced += 1;
-                    self.log_event(
-                        at,
-                        src_node,
-                        seq,
-                        dst_node,
-                        format!("fenced: stale inc {} from n{}", src_inc, src_node),
-                    );
+                    self.log_event(at, src_node, seq, dst_node, || {
+                        format!("fenced: stale inc {} from n{}", src_inc, src_node)
+                    });
                     return;
                 }
             }
@@ -796,13 +786,9 @@ impl Shard {
             NetMsg::Announce { xfer, ann } => {
                 let n = self.nodes.get_mut(&dst_node).expect("announce to foreign node");
                 n.announced.insert(xfer, ann);
-                self.log_event(
-                    at,
-                    src_node,
-                    seq,
-                    dst_node,
-                    format!("announce {} [{}, +{}B]", xfer, ann.va, ann.len),
-                );
+                self.log_event(at, src_node, seq, dst_node, || {
+                    format!("announce {} [{}, +{}B]", xfer, ann.va, ann.len)
+                });
             }
             NetMsg::Data { xfer, chunk, asid, va, bytes, outcome } => {
                 let n = self.nodes.get_mut(&dst_node).expect("data to foreign node");
@@ -815,13 +801,9 @@ impl Shard {
                 n.link_stats.dup_ignored += u64::from(outcome.dup_ignored);
                 n.link_stats.ooo_discarded += u64::from(outcome.ooo_discarded);
                 if bytes.is_empty() {
-                    self.log_event(
-                        at,
-                        src_node,
-                        seq,
-                        dst_node,
-                        format!("data {} chunk {} empty", xfer, chunk),
-                    );
+                    self.log_event(at, src_node, seq, dst_node, || {
+                        format!("data {} chunk {} empty", xfer, chunk)
+                    });
                     return;
                 }
                 match n.iommu.translate(asid, va, Access::Write) {
@@ -841,13 +823,9 @@ impl Shard {
                         n.seq += 1;
                         let back = self.shard_of(src_node);
                         self.tx[back].send(at, env);
-                        self.log_event(
-                            at,
-                            src_node,
-                            seq,
-                            dst_node,
-                            format!("data {} chunk {} +{}B @ {}", xfer, chunk, accepted, va),
-                        );
+                        self.log_event(at, src_node, seq, dst_node, || {
+                            format!("data {} chunk {} +{}B @ {}", xfer, chunk, accepted, va)
+                        });
                     }
                     Err(fault) => {
                         n.nacks_raised += 1;
@@ -881,19 +859,15 @@ impl Shard {
                             service_at + cost + self.link.latency(),
                             env,
                         );
-                        self.log_event(
-                            at,
-                            src_node,
-                            seq,
-                            dst_node,
+                        self.log_event(at, src_node, seq, dst_node, || {
                             format!(
                                 "data {} chunk {} nack {:?} ({})",
                                 xfer,
                                 chunk,
                                 res,
                                 if resolvable { "resolvable" } else { "fatal" }
-                            ),
-                        );
+                            )
+                        });
                     }
                 }
             }
@@ -909,18 +883,13 @@ impl Shard {
                 let x = &mut n.xfers[xfer.index as usize];
                 let done = x.on_ack(chunk, accepted, at);
                 let more = !x.state().terminal();
-                let what = format!(
-                    "ack {} chunk {} ({})",
-                    xfer,
-                    chunk,
-                    if done {
-                        "complete"
-                    } else if more {
-                        "next chunk"
-                    } else {
-                        "stale"
-                    }
-                );
+                let progress = if done {
+                    "complete"
+                } else if more {
+                    "next chunk"
+                } else {
+                    "stale"
+                };
                 if more {
                     let launch_seq = n.next_seq();
                     self.queue.push(Reverse(Ordered {
@@ -930,7 +899,9 @@ impl Shard {
                         work: Work::Launch { node: dst_node, index: xfer.index },
                     }));
                 }
-                self.log_event(at, src_node, seq, dst_node, what);
+                self.log_event(at, src_node, seq, dst_node, || {
+                    format!("ack {} chunk {} ({})", xfer, chunk, progress)
+                });
             }
             NetMsg::Nack { xfer, chunk, resolvable, .. } => {
                 let n = self.nodes.get_mut(&dst_node).expect("nack to foreign node");
@@ -940,7 +911,6 @@ impl Shard {
                 }
                 let x = &mut n.xfers[xfer.index as usize];
                 let verdict = x.on_nack(chunk, resolvable, at, &self.rel.retry);
-                let what = format!("nack {} chunk {} -> {:?}", xfer, chunk, verdict);
                 if let NackVerdict::Retry(when) = verdict {
                     let launch_seq = n.next_seq();
                     self.queue.push(Reverse(Ordered {
@@ -950,7 +920,9 @@ impl Shard {
                         work: Work::Launch { node: dst_node, index: xfer.index },
                     }));
                 }
-                self.log_event(at, src_node, seq, dst_node, what);
+                self.log_event(at, src_node, seq, dst_node, || {
+                    format!("nack {} chunk {} -> {:?}", xfer, chunk, verdict)
+                });
             }
             NetMsg::Hello { inc } | NetMsg::Pong { inc } => {
                 self.on_peer_alive(at, seq, src_node, dst_node, inc);
@@ -968,7 +940,7 @@ impl Shard {
                 };
                 let back = self.shard_of(src_node);
                 self.tx[back].send(at, env);
-                self.log_event(at, src_node, seq, dst_node, format!("ping from n{}", src_node));
+                self.log_event(at, src_node, seq, dst_node, || format!("ping from n{}", src_node));
             }
         }
     }
@@ -1008,13 +980,9 @@ impl Shard {
                 work: Work::Launch { node: dst_node, index },
             }));
         }
-        self.log_event(
-            at,
-            src_node,
-            seq,
-            dst_node,
-            format!("n{} alive at inc {}{}", src_node, inc, if advanced { " (new)" } else { "" }),
-        );
+        self.log_event(at, src_node, seq, dst_node, || {
+            format!("n{} alive at inc {}{}", src_node, inc, if advanced { " (new)" } else { "" })
+        });
     }
 }
 
@@ -1454,18 +1422,18 @@ fn pattern_bytes(id: XferId, len: u64) -> Vec<u8> {
     out
 }
 
-/// CRC-32 over a node's entire memory, read in page-sized strides.
+/// CRC-32 over a node's entire memory in address order. Resident frames
+/// are fed in place; a never-touched frame reads as zeros and is folded
+/// in O(1), so the cost follows the frames the run actually wrote.
 fn mem_crc(mem: &PhysMemory) -> u32 {
-    let mut buf = vec![0u8; PAGE_SIZE as usize];
-    let mut all = Vec::with_capacity(mem.size() as usize);
-    let mut pa = 0u64;
-    while pa < mem.size() {
-        let take = (mem.size() - pa).min(PAGE_SIZE) as usize;
-        mem.read_bytes(PhysAddr::new(pa), &mut buf[..take]).expect("in range");
-        all.extend_from_slice(&buf[..take]);
-        pa += take as u64;
+    let mut crc = Crc32::new();
+    for frame in 0..mem.size() / PAGE_SIZE {
+        match mem.resident_frame(PhysFrame::new(frame)) {
+            Some(bytes) => crc.update(bytes),
+            None => crc.update_zero_page(),
+        };
     }
-    crc32(&all)
+    crc.finish()
 }
 
 #[cfg(test)]

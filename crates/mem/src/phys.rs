@@ -91,6 +91,12 @@ impl PhysMemory {
         self.frames.len()
     }
 
+    /// The bytes of `frame` if it has been materialised, `None` if it
+    /// was never written (it reads as zeros) or lies outside memory.
+    pub fn resident_frame(&self, frame: PhysFrame) -> Option<&[u8]> {
+        self.frames.get(&frame.number()).map(|data| &data[..])
+    }
+
     fn check(&self, pa: PhysAddr, len: u64) -> Result<(), MemFault> {
         let end = pa.checked_add(len).ok_or(MemFault::BusError { pa })?;
         if end.as_u64() > self.size || len == 0 && pa.as_u64() >= self.size {
@@ -278,6 +284,9 @@ mod tests {
         mem.read_bytes(pa, &mut back).unwrap();
         assert_eq!(back, data);
         assert_eq!(mem.resident_frames(), 2);
+        let first = mem.resident_frame(PhysFrame::new(0)).expect("written frame is resident");
+        assert_eq!(first[PAGE_SIZE as usize - 4..], data[..4]);
+        assert!(mem.resident_frame(PhysFrame::new(2)).is_none());
     }
 
     #[test]

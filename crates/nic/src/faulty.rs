@@ -14,23 +14,148 @@
 
 use crate::link::{LinkModel, RetryPolicy};
 use udma_bus::SimTime;
+use udma_mem::PAGE_SHIFT;
 use udma_testkit::TestRng;
 
 /// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) — the
 /// frame checksum the receiver verifies before acking anything.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let lsb = crc & 1;
-            crc >>= 1;
-            if lsb != 0 {
-                crc ^= 0xEDB8_8320;
-            }
+    Crc32::new().update(data).finish()
+}
+
+/// The reflected CRC-32 polynomial.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC_TABLES[0][b]` is the register after one
+/// byte `b` entering a zero register; `CRC_TABLES[k][b]` is the same
+/// after `k` further zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            bit += 1;
         }
+        t[0][i] = crc;
+        i += 1;
     }
-    !crc
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// A linear operator on the CRC register over GF(2): column `i` is the
+/// image of bit `i`. Feeding zero bytes is linear in the register, so a
+/// fixed run of zeros is one such operator.
+type Gf2Op = [u32; 32];
+
+const fn gf2_apply(op: &Gf2Op, mut v: u32) -> u32 {
+    let mut out = 0;
+    let mut i = 0;
+    while v != 0 {
+        if v & 1 != 0 {
+            out ^= op[i];
+        }
+        v >>= 1;
+        i += 1;
+    }
+    out
+}
+
+/// The operator that advances the register over `PAGE_SIZE` zero bytes:
+/// one zero byte's operator squared `PAGE_SHIFT` times (zlib's
+/// `crc32_combine`, fixed to one page length).
+const ZERO_PAGE: Gf2Op = zero_page_op();
+
+const fn zero_page_op() -> Gf2Op {
+    let mut op = [0u32; 32];
+    let mut i = 0;
+    while i < 32 {
+        let v = 1u32 << i;
+        op[i] = (v >> 8) ^ CRC_TABLES[0][(v & 0xFF) as usize];
+        i += 1;
+    }
+    let mut doublings = 0;
+    while doublings < PAGE_SHIFT {
+        let mut sq = [0u32; 32];
+        let mut i = 0;
+        while i < 32 {
+            sq[i] = gf2_apply(&op, op[i]);
+            i += 1;
+        }
+        op = sq;
+        doublings += 1;
+    }
+    op
+}
+
+/// A streaming CRC-32 with the same values as [`crc32`]: feeding a
+/// buffer in any split gives the CRC of the whole.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Crc32 {
+    reg: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
+    }
+}
+
+impl Crc32 {
+    /// A CRC over no bytes yet.
+    pub const fn new() -> Self {
+        Crc32 { reg: 0xFFFF_FFFF }
+    }
+
+    /// Feeds `data`, eight bytes per table round.
+    pub fn update(&mut self, data: &[u8]) -> &mut Self {
+        let t = &CRC_TABLES;
+        let mut crc = self.reg;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        self.reg = crc;
+        self
+    }
+
+    /// Feeds `PAGE_SIZE` zero bytes in at most 32 word operations: the
+    /// same result as `update(&[0; PAGE_SIZE])`.
+    pub fn update_zero_page(&mut self) -> &mut Self {
+        self.reg = gf2_apply(&ZERO_PAGE, self.reg);
+        self
+    }
+
+    /// The CRC of every byte fed so far.
+    pub const fn finish(&self) -> u32 {
+        !self.reg
+    }
 }
 
 /// A scripted outage: every data frame whose global transmission index
@@ -490,6 +615,8 @@ pub fn deliver(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use udma_mem::PAGE_SIZE;
+    use udma_testkit::crc32_bitwise;
 
     fn payload(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 31 + 7) as u8).collect()
@@ -499,8 +626,47 @@ mod tests {
     fn crc32_check_value() {
         // The CRC-32/ISO-HDLC check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_ne!(crc32(b"123456789"), crc32(b"123456788"));
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn table_crc_matches_the_bitwise_reference() {
+        let page = PAGE_SIZE as usize;
+        let mut rng = TestRng::seed_from_u64(0xC3C3);
+        let big: Vec<u8> = (0..100_003).map(|_| rng.next_u64() as u8).collect();
+        for len in [0, 1, 7, 8, 9, page - 1, page, page + 1, big.len()] {
+            let data = &big[..len];
+            let want = crc32_bitwise(data);
+            assert_eq!(crc32(data), want, "one-shot, len {len}");
+            let mut splits = vec![0, len / 3, len / 2, len];
+            splits.extend((0..4).map(|_| rng.gen_index(len + 1)));
+            splits.sort_unstable();
+            let mut crc = Crc32::new();
+            for w in splits.windows(2) {
+                crc.update(&data[w[0]..w[1]]);
+            }
+            assert_eq!(crc.finish(), want, "streamed at {splits:?}, len {len}");
+        }
+    }
+
+    #[test]
+    fn zero_page_fold_equals_feeding_a_zero_page() {
+        let zeros = vec![0u8; PAGE_SIZE as usize];
+        for prefix in [&b""[..], b"x", b"123456789", &[0xFF; 13]] {
+            let mut folded = Crc32::new();
+            folded.update(prefix);
+            let mut fed = folded;
+            for round in 0..3 {
+                folded.update_zero_page();
+                fed.update(&zeros);
+                assert_eq!(folded, fed, "prefix {prefix:?}, page {round}");
+                folded.update(b"tail");
+                fed.update(b"tail");
+            }
+            assert_eq!(folded.finish(), fed.finish());
+        }
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub use descring::{
 pub use engine::DmaEngine;
 pub use engine_core::{EngineConfig, EngineCore, EngineStats, LaunchDst};
 pub use faulty::{
-    crc32, deliver, Burst, ControlFate, DeliveryOutcome, FaultPlan, FaultyLink, FaultyLinkStats,
-    FrameFate, ReliabilityConfig, MAX_BURSTS,
+    crc32, deliver, Burst, ControlFate, Crc32, DeliveryOutcome, FaultPlan, FaultyLink,
+    FaultyLinkStats, FrameFate, ReliabilityConfig, MAX_BURSTS,
 };
 pub use health::{HealthConfig, HealthState, HealthStats, PeerHealth};
 pub use link::{LinkModel, RetryPolicy};

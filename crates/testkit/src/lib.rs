@@ -19,6 +19,8 @@
 //! - [`bench`]: a warmup+iterations wall-clock timer with
 //!   median/p10/p90 JSON output, so the bench targets are plain
 //!   harness-free binaries that emit `BENCH_*.json`-shaped records.
+//! - [`crc32_bitwise`]: the bit-at-a-time CRC-32, the reference the
+//!   table-driven checksum and the cluster memory digests are pinned to.
 //!
 //! Determinism is the design rule throughout: every random decision
 //! flows from an explicit `u64` seed, and every failure report prints
@@ -32,3 +34,21 @@ pub mod rng;
 pub mod sched;
 
 pub use rng::TestRng;
+
+/// CRC-32/ISO-HDLC (reflected polynomial `0xEDB8_8320`, init and xorout
+/// `0xFFFF_FFFF`), one bit at a time: the slow, obviously correct
+/// reference that tests compare the table-driven `udma_nic::crc32` to.
+pub fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &byte in data {
+        crc ^= byte as u32;
+        for _ in 0..8 {
+            let lsb = crc & 1;
+            crc >>= 1;
+            if lsb != 0 {
+                crc ^= 0xEDB8_8320;
+            }
+        }
+    }
+    !crc
+}

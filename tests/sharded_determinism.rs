@@ -8,12 +8,13 @@
 //! message names the scenario, the seed and the first diverging sim
 //! event so the run can be replayed and bisected.
 
-use udma::{ClusterConfig, ClusterSim};
+use udma::{ClusterConfig, ClusterDigest, ClusterSim};
 use udma_bus::sim::RunnerKind;
 use udma_bus::SimTime;
 use udma_iommu::Asid;
-use udma_mem::{Perms, VirtAddr, PAGE_SIZE};
+use udma_mem::{Perms, PhysAddr, VirtAddr, PAGE_SIZE};
 use udma_nic::{CrashPlan, FaultPlan, XferState};
+use udma_testkit::crc32_bitwise;
 use udma_testkit::rng::TestRng;
 
 const ASID: Asid = 3;
@@ -139,6 +140,10 @@ fn cold_announced_matches_oracle_at_every_shard_count() {
 /// digest identity across shard counts covers every crash-driven path:
 /// leases, fences, probes, Hello broadcasts and grant replay.
 fn build_crashy(seed: u64, shards: usize, runner: RunnerKind) -> ClusterSim {
+    populate_crashy(seed, crashy_config(shards, runner))
+}
+
+fn crashy_config(shards: usize, runner: RunnerKind) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(NODES);
     cfg.shards = shards;
     cfg.runner = runner;
@@ -148,6 +153,11 @@ fn build_crashy(seed: u64, shards: usize, runner: RunnerKind) -> ClusterSim {
     // Tight lease so detection, fail-fast and probing all happen inside
     // the workload's own time span.
     cfg.health.lease = SimTime::from_us(150);
+    cfg
+}
+
+/// The E19 workload and crash plans on a cluster built from `cfg`.
+fn populate_crashy(seed: u64, cfg: ClusterConfig) -> ClusterSim {
     let mut sim = ClusterSim::new(cfg);
     let mut rng = TestRng::seed_from_u64(seed);
     for node in 0..NODES {
@@ -241,4 +251,67 @@ fn digest_carries_completion_times() {
         faulting.xfers[0].finished.expect("complete") > pinned.xfers[0].finished.expect("complete"),
         "fault round trips must show up in completion times"
     );
+}
+
+/// The crash-churn workload with seeded link loss on top, run to the
+/// end: node memory holds written frames next to never-touched ones, and
+/// the crash victim rebooted into zeroed memory.
+fn chaotic_crash_churn(
+    seed: u64,
+    shards: usize,
+    runner: RunnerKind,
+    record_log: bool,
+) -> ClusterSim {
+    let mut cfg = crashy_config(shards, runner);
+    cfg.chaos = Some(FaultPlan::lossless(seed).with_drop(0.1));
+    cfg.record_log = record_log;
+    let mut sim = populate_crashy(seed, cfg);
+    sim.run();
+    sim
+}
+
+/// Every node's memory digest is the plain CRC-32 of its flat image,
+/// absent frames read as zeros: the value the digest has always had,
+/// however it is computed.
+#[test]
+fn memory_digest_is_the_crc_of_the_flat_image() {
+    let seed = 0xD19;
+    let sim = chaotic_crash_churn(seed, 1, RunnerKind::Sequential, false);
+    let digest = sim.digest();
+    assert!(
+        digest.nodes.iter().any(|n| n.crash.reboots > 0),
+        "seed {seed:#x}: no node rebooted into fresh memory"
+    );
+    let (mut written, mut zero) = (0, 0);
+    for n in &digest.nodes {
+        let mut image = vec![0u8; sim.config().node_bytes as usize];
+        sim.read_mem(n.node, PhysAddr::new(0), &mut image).expect("whole node is installed");
+        assert_eq!(n.mem_crc, crc32_bitwise(&image), "node {} memory digest", n.node);
+        for page in image.chunks(PAGE_SIZE as usize) {
+            if page.iter().all(|&b| b == 0) {
+                zero += 1;
+            } else {
+                written += 1;
+            }
+        }
+    }
+    assert!(written > 0 && zero > 0, "{written} written and {zero} zero pages: vacuous image");
+}
+
+/// Recording the event log only observes: the run with the log on has
+/// the same memories, transfers, events, rounds and counters as the run
+/// with it off, and the unrecorded log stays empty.
+#[test]
+fn recording_the_log_changes_nothing_else() {
+    let seed = 0xD1903;
+    for (shards, runner) in [(1, RunnerKind::Sequential), (4, RunnerKind::Parallel)] {
+        let on = chaotic_crash_churn(seed, shards, runner, true).digest();
+        let off = chaotic_crash_churn(seed, shards, runner, false).digest();
+        assert!(!on.log.is_empty(), "{shards} shards: recorded log is empty");
+        assert!(off.log.is_empty(), "{shards} shards: log recorded while off");
+        let on = ClusterDigest { log: Vec::new(), ..on };
+        if let Some(diff) = on.diff(&off) {
+            panic!("{shards} shards: recording the log changed the run\n{diff}");
+        }
+    }
 }
