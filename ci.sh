@@ -16,6 +16,14 @@ echo "== benchmark build (release, offline) =="
 # benchmark run. Same target directory as perfbench/run.py.
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== benchmark smoke (1 s per workload) =="
+# One short run of every workload: a change that breaks a benchmark
+# output check, the round-to-round determinism gate or the payload
+# read-back fails here rather than in a full benchmark run.
+for w in table1 ring_rdma cluster_mesh; do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
+
 echo "== tests (workspace, offline) =="
 cargo test -q --offline --workspace
 

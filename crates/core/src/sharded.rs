@@ -264,13 +264,14 @@ enum Work {
     Probe { node: u32, peer: u32 },
 }
 
-/// A queued event with the layout-invariant ordering key.
-#[derive(Clone, Debug)]
+/// A queued event: the layout-invariant ordering key, and the work
+/// behind a pointer so the heap sifts small entries.
+#[derive(Debug)]
 struct Ordered {
     at: SimTime,
     src_node: u32,
     seq: u64,
-    work: Work,
+    work: Box<Work>,
 }
 
 impl Ordered {
@@ -296,6 +297,32 @@ impl PartialOrd for Ordered {
 impl Ord for Ordered {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.key().cmp(&other.key())
+    }
+}
+
+/// A shard's pending events, popped in `(at, src_node, seq)` order.
+#[derive(Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<Ordered>>,
+}
+
+impl EventQueue {
+    fn push(&mut self, at: SimTime, src_node: u32, seq: u64, work: Work) {
+        self.heap.push(Reverse(Ordered { at, src_node, seq, work: Box::new(work) }));
+    }
+
+    /// The earliest pending event time.
+    fn next_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(ev)| ev.at)
+    }
+
+    /// Removes and returns the earliest event if it is due before
+    /// `horizon`.
+    fn pop_before(&mut self, horizon: SimTime) -> Option<Ordered> {
+        if self.next_time()? >= horizon {
+            return None;
+        }
+        self.heap.pop().map(|Reverse(ev)| ev)
     }
 }
 
@@ -382,7 +409,7 @@ struct Shard {
     nodes: BTreeMap<u32, NodeWorld>,
     rx: Vec<SimReceiver<Envelope>>,
     tx: Vec<SimSender<Envelope>>,
-    queue: BinaryHeap<Reverse<Ordered>>,
+    queue: EventQueue,
     scratch: Vec<Stamped<Envelope>>,
     link: LinkModel,
     rel: ReliabilityConfig,
@@ -424,7 +451,7 @@ impl Shard {
     /// construction.
     fn dispatch(&mut self, ev: Ordered) {
         let Ordered { at, src_node, seq, work } = ev;
-        match work {
+        match *work {
             Work::Launch { node, index } => self.dispatch_launch(at, src_node, seq, node, index),
             Work::Net(env) => self.dispatch_net(at, seq, env),
             Work::Crash { node, kind, until } => self.dispatch_crash(at, seq, node, kind, until),
@@ -522,12 +549,12 @@ impl Shard {
         if fault_active && !n.xfers[index as usize].state().terminal() {
             let lease_at = at + self.health.lease;
             let lease_seq = n.next_seq();
-            self.queue.push(Reverse(Ordered {
-                at: lease_at,
-                src_node: node,
-                seq: lease_seq,
-                work: Work::Lease { node, index, snapshot: launches },
-            }));
+            self.queue.push(
+                lease_at,
+                node,
+                lease_seq,
+                Work::Lease { node, index, snapshot: launches },
+            );
         }
         self.log_event(at, src_node, seq, node, || {
             format!("launch {} -> n{} arriving {} ({})", id, dst_node, arrival, fate)
@@ -683,12 +710,7 @@ impl Shard {
             let probe = n.peers.get_mut(&dst).expect("entry above").next_probe(&self.health);
             if let Some(backoff) = probe {
                 let probe_seq = n.next_seq();
-                self.queue.push(Reverse(Ordered {
-                    at: at + backoff,
-                    src_node: node,
-                    seq: probe_seq,
-                    work: Work::Probe { node, peer: dst },
-                }));
+                self.queue.push(at + backoff, node, probe_seq, Work::Probe { node, peer: dst });
             }
             self.log_event(at, node, seq, node, || {
                 format!("lease {} miss: n{} down, {} transfers aborted", index, dst, killed)
@@ -697,12 +719,7 @@ impl Shard {
             // Suspect (or still counting): go-back-N resends the unacked
             // chunk; the relaunch arms the next lease.
             let launch_seq = n.next_seq();
-            self.queue.push(Reverse(Ordered {
-                at,
-                src_node: node,
-                seq: launch_seq,
-                work: Work::Launch { node, index },
-            }));
+            self.queue.push(at, node, launch_seq, Work::Launch { node, index });
             self.log_event(at, node, seq, node, || {
                 format!("lease {} miss ({:?}): relaunch", index, state)
             });
@@ -739,12 +756,7 @@ impl Shard {
         let next = n.peers.get_mut(&peer).expect("state above").next_probe(&self.health);
         if let Some(backoff) = next {
             let probe_seq = n.next_seq();
-            self.queue.push(Reverse(Ordered {
-                at: at + backoff,
-                src_node: node,
-                seq: probe_seq,
-                work: Work::Probe { node, peer },
-            }));
+            self.queue.push(at + backoff, node, probe_seq, Work::Probe { node, peer });
         }
         self.log_event(at, node, seq, node, || format!("probe n{} ({:?})", peer, state));
     }
@@ -892,12 +904,12 @@ impl Shard {
                 };
                 if more {
                     let launch_seq = n.next_seq();
-                    self.queue.push(Reverse(Ordered {
+                    self.queue.push(
                         at,
-                        src_node: dst_node,
-                        seq: launch_seq,
-                        work: Work::Launch { node: dst_node, index: xfer.index },
-                    }));
+                        dst_node,
+                        launch_seq,
+                        Work::Launch { node: dst_node, index: xfer.index },
+                    );
                 }
                 self.log_event(at, src_node, seq, dst_node, || {
                     format!("ack {} chunk {} ({})", xfer, chunk, progress)
@@ -913,12 +925,12 @@ impl Shard {
                 let verdict = x.on_nack(chunk, resolvable, at, &self.rel.retry);
                 if let NackVerdict::Retry(when) = verdict {
                     let launch_seq = n.next_seq();
-                    self.queue.push(Reverse(Ordered {
-                        at: when,
-                        src_node: dst_node,
-                        seq: launch_seq,
-                        work: Work::Launch { node: dst_node, index: xfer.index },
-                    }));
+                    self.queue.push(
+                        when,
+                        dst_node,
+                        launch_seq,
+                        Work::Launch { node: dst_node, index: xfer.index },
+                    );
                 }
                 self.log_event(at, src_node, seq, dst_node, || {
                     format!("nack {} chunk {} -> {:?}", xfer, chunk, verdict)
@@ -973,12 +985,7 @@ impl Shard {
         }
         for index in relaunch {
             let launch_seq = n.next_seq();
-            self.queue.push(Reverse(Ordered {
-                at,
-                src_node: dst_node,
-                seq: launch_seq,
-                work: Work::Launch { node: dst_node, index },
-            }));
+            self.queue.push(at, dst_node, launch_seq, Work::Launch { node: dst_node, index });
         }
         self.log_event(at, src_node, seq, dst_node, || {
             format!("n{} alive at inc {}{}", src_node, inc, if advanced { " (new)" } else { "" })
@@ -992,26 +999,17 @@ impl SimComponent for Shard {
             r.drain_into(&mut self.scratch);
         }
         for m in self.scratch.drain(..) {
-            self.queue.push(Reverse(Ordered {
-                at: m.at,
-                src_node: m.payload.src_node,
-                seq: m.payload.seq,
-                work: Work::Net(m.payload),
-            }));
+            self.queue.push(m.at, m.payload.src_node, m.payload.seq, Work::Net(m.payload));
         }
     }
 
     fn next_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse(ev)| ev.at)
+        self.queue.next_time()
     }
 
     fn advance(&mut self, horizon: SimTime) -> u64 {
         let mut done = 0;
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.at >= horizon {
-                break;
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked");
+        while let Some(ev) = self.queue.pop_before(horizon) {
             self.dispatch(ev);
             done += 1;
         }
@@ -1067,7 +1065,7 @@ impl ClusterSim {
                 nodes: BTreeMap::new(),
                 rx: rx_row.into_iter().map(|r| r.expect("full matrix")).collect(),
                 tx,
-                queue: BinaryHeap::new(),
+                queue: EventQueue::default(),
                 scratch: Vec::new(),
                 link: cfg.link,
                 rel: cfg.reliability,
@@ -1221,22 +1219,22 @@ impl ClusterSim {
         let until = plan.recovery_at();
         let n = self.shards[shard].nodes.get_mut(&plan.node).expect("node exists");
         let seq = n.next_seq();
-        self.shards[shard].queue.push(Reverse(Ordered {
-            at: plan.at,
-            src_node: plan.node,
+        self.shards[shard].queue.push(
+            plan.at,
+            plan.node,
             seq,
-            work: Work::Crash { node: plan.node, kind: plan.kind, until },
-        }));
+            Work::Crash { node: plan.node, kind: plan.kind, until },
+        );
         if plan.kind != CrashKind::FaultStall {
             if let Some(when) = until {
                 let n = self.shards[shard].nodes.get_mut(&plan.node).expect("node exists");
                 let seq = n.next_seq();
-                self.shards[shard].queue.push(Reverse(Ordered {
-                    at: when,
-                    src_node: plan.node,
+                self.shards[shard].queue.push(
+                    when,
+                    plan.node,
                     seq,
-                    work: Work::Recover { node: plan.node, kind: plan.kind },
-                }));
+                    Work::Recover { node: plan.node, kind: plan.kind },
+                );
             }
         }
     }
@@ -1293,12 +1291,12 @@ impl ClusterSim {
         let data = pattern_bytes(id, len);
         n.xfers.push(SendXfer::new(id, dst_node, asid, va, data, at));
         let seq = n.next_seq();
-        self.shards[shard].queue.push(Reverse(Ordered {
+        self.shards[shard].queue.push(
             at,
             src_node,
             seq,
-            work: Work::Launch { node: src_node, index: id.index },
-        }));
+            Work::Launch { node: src_node, index: id.index },
+        );
         self.posted += 1;
         id
     }
@@ -1410,15 +1408,21 @@ impl ClusterSim {
     }
 }
 
-/// Deterministic per-transfer payload pattern (seeded xoshiro stream).
+/// Deterministic per-transfer payload pattern (seeded xoshiro stream,
+/// one little-endian draw per eight bytes, the last draw truncated).
 fn pattern_bytes(id: XferId, len: u64) -> Vec<u8> {
     let seed = 0xDA7A_5EED_0000_0000 ^ (u64::from(id.node) << 20) ^ u64::from(id.index);
     let mut rng = TestRng::seed_from_u64(seed);
+    // Sized up front and appended to, never zero-filled first: the
+    // payloads are tens of megabytes per cluster.
     let mut out = Vec::with_capacity(len as usize);
-    while (out.len() as u64) < len {
+    for _ in 0..len / 8 {
         out.extend_from_slice(&rng.next_u64().to_le_bytes());
     }
-    out.truncate(len as usize);
+    let tail = (len % 8) as usize;
+    if tail > 0 {
+        out.extend_from_slice(&rng.next_u64().to_le_bytes()[..tail]);
+    }
     out
 }
 
@@ -1494,6 +1498,19 @@ mod tests {
         assert_eq!(x.state, XferState::Complete);
         assert_eq!(x.counters.nacks, 1, "the announced range services in one kernel entry");
         assert!(sim.digest().nodes[1].faults.range_prefilled >= 3);
+    }
+
+    #[test]
+    fn pattern_is_the_truncated_draw_stream() {
+        for (index, len) in [(0, 1), (1, 7), (2, 8), (3, 9), (4, 8191), (5, 3 * PAGE_SIZE + 5)] {
+            let id = XferId { node: 3, index };
+            let seed = 0xDA7A_5EED_0000_0000 ^ (3 << 20) ^ u64::from(index);
+            let mut rng = TestRng::seed_from_u64(seed);
+            let mut want: Vec<u8> =
+                (0..len.div_ceil(8)).flat_map(|_| rng.next_u64().to_le_bytes()).collect();
+            want.truncate(len as usize);
+            assert_eq!(pattern_bytes(id, len), want, "len {len}");
+        }
     }
 
     #[test]

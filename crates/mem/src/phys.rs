@@ -1,13 +1,47 @@
 //! Physical memory and frame allocation.
 
 use crate::{MemFault, PhysAddr, PhysFrame, PAGE_SHIFT, PAGE_SIZE};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a frame number with one multiply by a 64-bit odd constant
+/// (Fibonacci hashing). Frame numbers are small integers no adversary
+/// chooses, so SipHash's flood resistance buys nothing here. `finish`
+/// rotates the well-mixed high product bits down into the low bits the
+/// table indexes by, so strided frame numbers spread too.
+#[derive(Clone, Copy, Debug, Default)]
+struct FrameHasher(u64);
+
+const FRAME_HASH_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for FrameHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FRAME_HASH_K);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(FRAME_HASH_K);
+    }
+}
+
+type FrameMap = HashMap<u64, Box<[u8]>, BuildHasherDefault<FrameHasher>>;
 
 /// Byte-addressable physical memory, stored sparsely one frame at a time.
 ///
-/// Frames are materialised (zero-filled) on first touch, so a machine with
-/// a multi-gigabyte physical address space costs only what it actually
-/// uses. All multi-byte accesses are little-endian, like the Alpha.
+/// A frame is materialised on its first write, so a machine with a
+/// multi-gigabyte physical address space costs only what it actually
+/// uses. A write that covers a whole absent frame builds the frame from
+/// the written bytes directly; any other first write starts from a
+/// zero-filled frame. Either way the frame then holds exactly what a
+/// zeroed frame would after that write. All multi-byte accesses are
+/// little-endian, like the Alpha.
 ///
 /// ```
 /// use udma_mem::{PhysMemory, PhysAddr};
@@ -23,7 +57,7 @@ use std::collections::{BTreeSet, HashMap};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PhysMemory {
-    frames: HashMap<u64, Box<[u8]>>,
+    frames: FrameMap,
     size: u64,
     /// When `Some((line_bytes, set))`, every write marks the cache lines
     /// it covers. Coherence tests and the writeback accounting use this
@@ -36,7 +70,7 @@ impl PhysMemory {
     /// pages). Accesses at or beyond `size` raise [`MemFault::BusError`].
     pub fn new(size: u64) -> Self {
         let size = size.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        PhysMemory { frames: HashMap::new(), size, dirty: None }
+        PhysMemory { frames: FrameMap::default(), size, dirty: None }
     }
 
     /// Starts tracking writes at `line_bytes` granularity. Any lines
@@ -149,7 +183,19 @@ impl PhysMemory {
             let frame = addr >> PAGE_SHIFT;
             let off = (addr & (PAGE_SIZE - 1)) as usize;
             let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
-            self.frame_mut(frame)[off..off + chunk].copy_from_slice(&buf[done..done + chunk]);
+            let src = &buf[done..done + chunk];
+            if chunk == PAGE_SIZE as usize {
+                // A whole frame: its old contents, if any, are all
+                // overwritten, so an absent frame needs no zero-fill.
+                match self.frames.entry(frame) {
+                    Entry::Occupied(data) => data.into_mut().copy_from_slice(src),
+                    Entry::Vacant(slot) => {
+                        slot.insert(src.into());
+                    }
+                }
+            } else {
+                self.frame_mut(frame)[off..off + chunk].copy_from_slice(src);
+            }
             done += chunk;
             addr += chunk as u64;
         }
@@ -287,6 +333,39 @@ mod tests {
         let first = mem.resident_frame(PhysFrame::new(0)).expect("written frame is resident");
         assert_eq!(first[PAGE_SIZE as usize - 4..], data[..4]);
         assert!(mem.resident_frame(PhysFrame::new(2)).is_none());
+    }
+
+    #[test]
+    fn whole_frame_writes_materialise_the_written_bytes() {
+        let mut mem = PhysMemory::new(4 * PAGE_SIZE);
+        mem.track_lines(64);
+        let page: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 7 + 1) as u8).collect();
+        mem.write_bytes(PhysFrame::new(2).base(), &page).unwrap();
+        assert_eq!(mem.resident_frames(), 1);
+        assert_eq!(mem.resident_frame(PhysFrame::new(2)), Some(&page[..]));
+        assert_eq!(mem.dirty_lines().len() as u64, PAGE_SIZE / 64);
+        // Over a present frame, the whole frame is replaced in place.
+        mem.write_u64(PhysFrame::new(1).base() + 8, 5).unwrap();
+        let twice: Vec<u8> = page.iter().chain(&page).map(|b| b ^ 0xFF).collect();
+        mem.write_bytes(PhysFrame::new(1).base(), &twice).unwrap();
+        assert_eq!(mem.resident_frames(), 2);
+        assert_eq!(mem.resident_frame(PhysFrame::new(1)), Some(&twice[..PAGE_SIZE as usize]));
+        assert_eq!(mem.resident_frame(PhysFrame::new(2)), Some(&twice[PAGE_SIZE as usize..]));
+    }
+
+    #[test]
+    fn a_huge_memory_stays_sparse() {
+        let size = 1u64 << 43;
+        let mut mem = PhysMemory::new(size);
+        let top = PhysAddr::new(size - PAGE_SIZE);
+        for (i, pa) in [PhysAddr::new(0), PhysAddr::new(size / 2 + 3), top].into_iter().enumerate()
+        {
+            mem.write_u64(PhysAddr::new(pa.as_u64() & !7), i as u64 + 1).unwrap();
+        }
+        mem.write_bytes(top, &[0xAB; PAGE_SIZE as usize]).unwrap();
+        assert_eq!(mem.resident_frames(), 3);
+        assert_eq!(mem.read_u64(PhysAddr::new(size / 2)).unwrap(), 2);
+        assert_eq!(mem.read_u64(top).unwrap(), u64::from_le_bytes([0xAB; 8]));
     }
 
     #[test]

@@ -1,12 +1,38 @@
 //! Property-based tests for the memory substrate.
 
+use std::collections::BTreeSet;
 use udma_testkit::prop::{any, vec};
+use udma_testkit::rng::TestRng;
 use udma_testkit::{prop_assert, prop_assert_eq, props};
 
 use udma_mem::{
-    Access, FrameAllocator, MemFault, PageTable, Perms, PhysAddr, PhysMemory, ShadowLayout,
-    VirtAddr, VirtPage, PAGE_SIZE,
+    Access, FrameAllocator, MemFault, PageTable, Perms, PhysAddr, PhysFrame, PhysMemory,
+    ShadowLayout, VirtAddr, VirtPage, PAGE_SIZE,
 };
+
+/// A flat reference model of [`PhysMemory`]: every byte, the frames a
+/// write has touched, and the dirty lines a write has marked.
+struct FlatMemory {
+    bytes: Vec<u8>,
+    resident: BTreeSet<u64>,
+    line: u64,
+    dirty: BTreeSet<u64>,
+}
+
+impl FlatMemory {
+    fn write(&mut self, pa: u64, data: &[u8]) -> bool {
+        let end = pa + data.len() as u64;
+        if end > self.bytes.len() as u64 {
+            return false;
+        }
+        self.bytes[pa as usize..end as usize].copy_from_slice(data);
+        if !data.is_empty() {
+            self.resident.extend(pa / PAGE_SIZE..=(end - 1) / PAGE_SIZE);
+            self.dirty.extend((pa / self.line..=(end - 1) / self.line).map(|l| l * self.line));
+        }
+        true
+    }
+}
 
 props! {
     /// shadow ∘ decode is the identity on (paddr, ctx) for every layout.
@@ -73,6 +99,82 @@ props! {
         let mut back = vec![0u8; a_data.len()];
         mem.read_bytes(a, &mut back).unwrap();
         prop_assert_eq!(back, a_data);
+    }
+
+    /// Differential check against a flat image: random writes that cover
+    /// whole frames (absent or present), straddle frames or touch part
+    /// of one, aligned `u64` stores, failing writes past the end and
+    /// reads all leave the same bytes, the same resident frames and the
+    /// same dirty lines as the model.
+    fn phys_memory_matches_a_flat_image(
+        seed in any::<u64>(),
+        ops in 1usize..48,
+        line_shift in 5u32..8,
+    ) {
+        const FRAMES: u64 = 6;
+        let size = FRAMES * PAGE_SIZE;
+        let line = 1u64 << line_shift;
+        let mut mem = PhysMemory::new(size);
+        mem.track_lines(line);
+        let mut model = FlatMemory {
+            bytes: vec![0; size as usize],
+            resident: BTreeSet::new(),
+            line,
+            dirty: BTreeSet::new(),
+        };
+        let mut rng = TestRng::seed_from_u64(seed);
+        for _ in 0..ops {
+            let frame = rng.gen_range(0..FRAMES);
+            let (pa, len) = match rng.gen_index(6) {
+                // Whole frames, one to three of them.
+                0 => (frame * PAGE_SIZE, rng.gen_range(1..4) * PAGE_SIZE),
+                // A partial head, a whole frame, a partial tail.
+                1 => {
+                    let head = rng.gen_range(1..PAGE_SIZE);
+                    (frame * PAGE_SIZE + head, PAGE_SIZE - head + PAGE_SIZE + rng.gen_range(1..PAGE_SIZE))
+                }
+                // Part of one frame, or a short run across a boundary.
+                2 => (rng.gen_range(0..size), rng.gen_range(1..2 * PAGE_SIZE)),
+                3 => {
+                    let pa = rng.gen_range(0..size / 8) * 8;
+                    let value = rng.next_u64();
+                    mem.write_u64(PhysAddr::new(pa), value).unwrap();
+                    model.write(pa, &value.to_le_bytes());
+                    continue;
+                }
+                4 => {
+                    let pa = rng.gen_range(0..size);
+                    let mut got = vec![0u8; rng.gen_range(1..size - pa + 1) as usize];
+                    mem.read_bytes(PhysAddr::new(pa), &mut got).unwrap();
+                    prop_assert_eq!(&got[..], &model.bytes[pa as usize..pa as usize + got.len()]);
+                    continue;
+                }
+                _ => {
+                    mem.clear_dirty_lines();
+                    model.dirty.clear();
+                    continue;
+                }
+            };
+            let salt = rng.next_u64() as u8;
+            let data: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ salt).collect();
+            let ok = model.write(pa, &data);
+            prop_assert_eq!(mem.write_bytes(PhysAddr::new(pa), &data).is_ok(), ok);
+        }
+        let mut image = vec![0u8; size as usize];
+        mem.read_bytes(PhysAddr::new(0), &mut image).unwrap();
+        prop_assert!(image == model.bytes, "flat images differ");
+        prop_assert_eq!(mem.resident_frames(), model.resident.len());
+        for f in 0..FRAMES {
+            let want = &model.bytes[(f * PAGE_SIZE) as usize..((f + 1) * PAGE_SIZE) as usize];
+            match mem.resident_frame(PhysFrame::new(f)) {
+                Some(got) => {
+                    prop_assert!(model.resident.contains(&f), "frame {f} resident but never written");
+                    prop_assert!(got == want, "frame {f} contents differ");
+                }
+                None => prop_assert!(!model.resident.contains(&f), "written frame {f} absent"),
+            }
+        }
+        prop_assert_eq!(mem.dirty_lines(), model.dirty.iter().copied().collect::<Vec<_>>());
     }
 
     /// Translation preserves the page offset and respects permissions.

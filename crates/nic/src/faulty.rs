@@ -75,12 +75,10 @@ const fn gf2_apply(op: &Gf2Op, mut v: u32) -> u32 {
     out
 }
 
-/// The operator that advances the register over `PAGE_SIZE` zero bytes:
-/// one zero byte's operator squared `PAGE_SHIFT` times (zlib's
-/// `crc32_combine`, fixed to one page length).
-const ZERO_PAGE: Gf2Op = zero_page_op();
-
-const fn zero_page_op() -> Gf2Op {
+/// The operator that advances the register over `2^doublings` zero
+/// bytes: one zero byte's operator squared `doublings` times (zlib's
+/// `crc32_combine`, fixed to one length).
+const fn zero_run_op(doublings: u32) -> Gf2Op {
     let mut op = [0u32; 32];
     let mut i = 0;
     while i < 32 {
@@ -88,8 +86,8 @@ const fn zero_page_op() -> Gf2Op {
         op[i] = (v >> 8) ^ CRC_TABLES[0][(v & 0xFF) as usize];
         i += 1;
     }
-    let mut doublings = 0;
-    while doublings < PAGE_SHIFT {
+    let mut done = 0;
+    while done < doublings {
         let mut sq = [0u32; 32];
         let mut i = 0;
         while i < 32 {
@@ -97,9 +95,80 @@ const fn zero_page_op() -> Gf2Op {
             i += 1;
         }
         op = sq;
-        doublings += 1;
+        done += 1;
     }
     op
+}
+
+/// The register's advance over `PAGE_SIZE` zero bytes.
+const ZERO_PAGE: Gf2Op = zero_run_op(PAGE_SHIFT);
+
+/// Long inputs are fed in blocks of [`LANES`] lanes of `LANE` bytes. The
+/// lanes' registers are independent, so their table lookups overlap
+/// instead of waiting on one another; the joins cost a few lookups.
+const LANE_SHIFT: u32 = 10;
+const LANE: usize = 1 << LANE_SHIFT;
+const LANES: usize = 4;
+
+/// The register's advance over `LANE` zero bytes, as byte tables:
+/// `LANE_OP[k][b]` is the image of byte `b` at bit `8k`.
+const LANE_OP: [[u32; 256]; 4] = byte_tables(&zero_run_op(LANE_SHIFT));
+
+const fn byte_tables(op: &Gf2Op) -> [[u32; 256]; 4] {
+    let mut t = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            t[k][b] = gf2_apply(op, (b as u32) << (8 * k));
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Advances `crc` over `LANE` zero bytes.
+#[inline(always)]
+fn skip_lane(crc: u32) -> u32 {
+    let t = &LANE_OP;
+    t[0][(crc & 0xFF) as usize]
+        ^ t[1][((crc >> 8) & 0xFF) as usize]
+        ^ t[2][((crc >> 16) & 0xFF) as usize]
+        ^ t[3][(crc >> 24) as usize]
+}
+
+/// Feeds eight bytes, one table round.
+#[inline(always)]
+fn step8(crc: u32, w: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// Feeds one block of `LANES * LANE` bytes. Feeding is linear, so the
+/// register after lanes `a‖b` is `skip_lane(after a) ^ (b fed from 0)`:
+/// the first lane continues `crc`, the others start from zero, and the
+/// results are joined in order.
+fn feed_block(crc: u32, block: &[u8]) -> u32 {
+    let (a, rest) = block.split_at(LANE);
+    let (b, rest) = rest.split_at(LANE);
+    let (c, d) = rest.split_at(LANE);
+    let mut r = [crc, 0, 0, 0];
+    for (((wa, wb), wc), wd) in
+        a.chunks_exact(8).zip(b.chunks_exact(8)).zip(c.chunks_exact(8)).zip(d.chunks_exact(8))
+    {
+        r = [step8(r[0], wa), step8(r[1], wb), step8(r[2], wc), step8(r[3], wd)];
+    }
+    r[1..].iter().fold(r[0], |acc, &lane| skip_lane(acc) ^ lane)
 }
 
 /// A streaming CRC-32 with the same values as [`crc32`]: feeding a
@@ -121,25 +190,20 @@ impl Crc32 {
         Crc32 { reg: 0xFFFF_FFFF }
     }
 
-    /// Feeds `data`, eight bytes per table round.
+    /// Feeds `data`: whole blocks as interleaved lanes, the rest eight
+    /// bytes per table round.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
-        let t = &CRC_TABLES;
         let mut crc = self.reg;
-        let mut words = data.chunks_exact(8);
+        let mut blocks = data.chunks_exact(LANES * LANE);
+        for block in &mut blocks {
+            crc = feed_block(crc, block);
+        }
+        let mut words = blocks.remainder().chunks_exact(8);
         for w in &mut words {
-            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-            crc = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][((hi >> 8) & 0xFF) as usize]
-                ^ t[1][((hi >> 16) & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
+            crc = step8(crc, w);
         }
         for &b in words.remainder() {
-            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
         }
         self.reg = crc;
         self
@@ -491,8 +555,9 @@ pub struct DeliveryOutcome {
 /// [`ReliabilityConfig::mtu`] bytes, sequence numbers, CRC-32, a
 /// cumulative ACK per window round, NACK-accelerated recovery on CRC
 /// failure, retransmit on timeout with exponential backoff, bounded by
-/// the retry budget. Returns the outcome and the bytes the receiver
-/// accepted — always a contiguous in-order prefix of `data`.
+/// the retry budget. Returns the outcome; the bytes the receiver
+/// accepted are `data[..outcome.delivered]`, always a whole-frame
+/// in-order prefix (or all of `data`), so no payload byte is copied here.
 ///
 /// Timing: the elapsed time is `link.transfer_time(wire_bytes)` plus
 /// the accumulated stalls, so a run in which nothing goes wrong costs
@@ -503,16 +568,19 @@ pub fn deliver(
     rel: &ReliabilityConfig,
     faulty: &mut FaultyLink,
     data: &[u8],
-) -> (DeliveryOutcome, Vec<u8>) {
+) -> DeliveryOutcome {
     let mtu = rel.mtu.max(1) as usize;
     let nframes = data.len().div_ceil(mtu);
     let window = rel.window.max(1) as usize;
-    let mut out = Vec::with_capacity(data.len());
     let mut o = DeliveryOutcome::default();
     let mut sender_base = 0usize; // frames the sender knows are acked
     let mut next_expected = 0usize; // receiver's in-order progress
-    let mut sent_once = vec![false; nframes];
     let mut retries = 0u32;
+    // Frames go out in order from `sender_base`, which only grows, so
+    // the frames sent at least once are exactly those below `sent_upto`.
+    let mut sent_upto = 0usize;
+    // Reused across rounds: a window's arrivals, duplicates included.
+    let mut arrivals: Vec<(usize, bool)> = Vec::with_capacity(2 * window.min(nframes));
 
     while sender_base < nframes {
         if retries > rel.retry.max_retries {
@@ -521,20 +589,18 @@ pub fn deliver(
         let end = (sender_base + window).min(nframes);
 
         // Transmit the window; the chaos link decides each frame's fate.
-        // An arrival is (seq, crc_ok): payload bytes are reconstructed
-        // from `data` on in-order accept, and a corrupted frame is one
-        // whose recomputed CRC cannot match its header.
-        let mut arrivals: Vec<(usize, bool)> = Vec::with_capacity(end - sender_base + 1);
+        // An arrival is (seq, crc_ok): an in-order accept extends the
+        // delivered prefix of `data`, and a corrupted frame is one whose
+        // recomputed CRC cannot match its header.
+        arrivals.clear();
         let mut swap_with_next: Option<usize> = None;
-        for (seq, sent) in sent_once.iter_mut().enumerate().take(end).skip(sender_base) {
+        for seq in sender_base..end {
             let lo = seq * mtu;
             let len = (data.len() - lo).min(mtu) as u64;
             o.wire_bytes += len;
             o.frames_sent += 1;
-            if *sent {
+            if seq < sent_upto {
                 o.retransmits += 1;
-            } else {
-                *sent = true;
             }
             let mut push = |arrivals: &mut Vec<(usize, bool)>, a: (usize, bool)| {
                 arrivals.push(a);
@@ -558,20 +624,18 @@ pub fn deliver(
                 }
             }
         }
+        sent_upto = end;
 
         // Receive: a go-back-N receiver accepts only the next in-order
         // CRC-good frame; everything else is ignored or NACKed.
         let mut crc_failed = false;
-        for (seq, crc_ok) in arrivals {
+        for &(seq, crc_ok) in &arrivals {
             if !crc_ok {
                 o.crc_dropped += 1;
                 crc_failed = true;
                 continue;
             }
             if seq == next_expected {
-                let lo = seq * mtu;
-                let hi = (lo + mtu).min(data.len());
-                out.extend_from_slice(&data[lo..hi]);
                 next_expected += 1;
             } else if seq < next_expected {
                 o.dup_ignored += 1;
@@ -607,9 +671,9 @@ pub fn deliver(
     }
 
     o.completed = sender_base >= nframes;
-    o.delivered = out.len() as u64;
+    o.delivered = (next_expected * mtu).min(data.len()) as u64;
     o.elapsed = link.transfer_time(o.wire_bytes) + o.stall;
-    (o, out)
+    o
 }
 
 #[cfg(test)]
@@ -636,7 +700,9 @@ mod tests {
         let page = PAGE_SIZE as usize;
         let mut rng = TestRng::seed_from_u64(0xC3C3);
         let big: Vec<u8> = (0..100_003).map(|_| rng.next_u64() as u8).collect();
-        for len in [0, 1, 7, 8, 9, page - 1, page, page + 1, big.len()] {
+        let block = LANES * LANE;
+        for len in [0, 1, 7, 8, 9, block - 1, block, block + 1, page - 1, page, page + 1, big.len()]
+        {
             let data = &big[..len];
             let want = crc32_bitwise(data);
             assert_eq!(crc32(data), want, "one-shot, len {len}");
@@ -675,9 +741,9 @@ mod tests {
         let rel = ReliabilityConfig::default();
         let data = payload(3 * 1024 + 100);
         let mut faulty = FaultyLink::new(FaultPlan::lossless(42));
-        let (o, got) = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, &data);
         assert!(o.completed);
-        assert_eq!(got, data);
+        assert_eq!(o.delivered, data.len() as u64);
         assert_eq!(o.wire_bytes, data.len() as u64);
         assert_eq!(o.retransmits, 0);
         assert_eq!(o.timeouts, 0);
@@ -691,9 +757,9 @@ mod tests {
         let rel = ReliabilityConfig::default();
         let data = payload(8 * 1024);
         let mut faulty = FaultyLink::new(FaultPlan::lossless(7).with_drop(0.3));
-        let (o, got) = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, &data);
         assert!(o.completed, "30% loss with budget 6 should get through: {o:?}");
-        assert_eq!(got, data);
+        assert_eq!(o.delivered, data.len() as u64);
         assert!(o.retransmits > 0);
         assert!(o.timeouts > 0);
         assert!(o.stall > SimTime::ZERO);
@@ -707,12 +773,12 @@ mod tests {
         let rel = ReliabilityConfig::default();
         let data = payload(6 * 1024);
         let mut faulty = FaultyLink::new(FaultPlan::lossless(11).with_corrupt(0.4));
-        let (o, got) = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, &data);
         assert!(o.crc_dropped > 0, "40% corruption must trip the CRC");
         // Every accepted byte is correct anyway: corruption costs
         // retransmits, never integrity.
         assert!(o.completed);
-        assert_eq!(got, data);
+        assert_eq!(o.delivered, data.len() as u64);
         assert_eq!(faulty.stats().corrupted as u32, o.crc_dropped);
     }
 
@@ -723,9 +789,9 @@ mod tests {
         let data = payload(8 * 1024);
         let mut faulty =
             FaultyLink::new(FaultPlan::lossless(3).with_duplicate(0.2).with_reorder(0.2));
-        let (o, got) = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, &data);
         assert!(o.completed);
-        assert_eq!(got, data);
+        assert_eq!(o.delivered, data.len() as u64);
         assert!(o.dup_ignored > 0 || o.ooo_discarded > 0);
     }
 
@@ -736,10 +802,9 @@ mod tests {
         let data = payload(8 * 1024);
         // Everything from frame 2 on is swallowed, far past any budget.
         let mut faulty = FaultyLink::new(FaultPlan::lossless(5).with_burst(2, 1_000_000));
-        let (o, got) = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, &data);
         assert!(!o.completed);
         assert_eq!(o.delivered, 2 * 1024);
-        assert_eq!(got, data[..2 * 1024]);
         assert!(o.timeouts > rel.retry.max_retries);
     }
 
@@ -749,9 +814,51 @@ mod tests {
         let rel = ReliabilityConfig::default();
         let data = payload(16 * 1024);
         let plan = FaultPlan::lossless(99).with_drop(0.2).with_corrupt(0.1);
-        let (a, _) = deliver(&link, &rel, &mut FaultyLink::new(plan), &data);
-        let (b, _) = deliver(&link, &rel, &mut FaultyLink::new(plan), &data);
+        let a = deliver(&link, &rel, &mut FaultyLink::new(plan), &data);
+        let b = deliver(&link, &rel, &mut FaultyLink::new(plan), &data);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn delivered_is_always_a_whole_frame_prefix() {
+        let link = LinkModel::atm155();
+        let mixes = [
+            FaultPlan::lossless(0),
+            FaultPlan::lossless(0).with_drop(0.3),
+            FaultPlan::lossless(0).with_duplicate(0.3).with_reorder(0.3),
+            FaultPlan::lossless(0).with_corrupt(0.4),
+            FaultPlan::lossless(0)
+                .with_drop(0.2)
+                .with_duplicate(0.1)
+                .with_reorder(0.1)
+                .with_corrupt(0.1),
+            FaultPlan::lossless(0).with_drop(0.9),
+            FaultPlan::lossless(0).with_burst(3, 1_000_000),
+        ];
+        let (mut partial, mut whole) = (0, 0);
+        for (m, mix) in mixes.iter().enumerate() {
+            for seed in 0..24u64 {
+                let retry = RetryPolicy::new((seed % 4) as u32, SimTime::from_us(5));
+                let rel = ReliabilityConfig { retry, ..ReliabilityConfig::default() };
+                let len = 1 + (seed as usize * 1237) % (10 * rel.mtu as usize);
+                let data = payload(len);
+                let plan = FaultPlan { seed, ..*mix };
+                let o = deliver(&link, &rel, &mut FaultyLink::new(plan), &data);
+                let at = format!("mix {m}, seed {seed}, len {len}: {o:?}");
+                assert!(
+                    o.delivered.is_multiple_of(rel.mtu) || o.delivered == len as u64,
+                    "not a whole-frame prefix, {at}"
+                );
+                assert!(o.delivered <= len as u64, "{at}");
+                if o.completed {
+                    assert_eq!(o.delivered, len as u64, "completed short, {at}");
+                    whole += 1;
+                } else if o.delivered < len as u64 {
+                    partial += 1;
+                }
+            }
+        }
+        assert!(partial > 0 && whole > 0, "{partial} partial, {whole} whole: vacuous mixes");
     }
 
     #[test]

@@ -55,7 +55,9 @@ pub use faulty::{
 pub use health::{HealthConfig, HealthState, HealthStats, PeerHealth};
 pub use link::{LinkModel, RetryPolicy};
 pub use mover::{DmaMover, RemoteDst, TransferRecord};
-pub use net::{Envelope, NackVerdict, NetMsg, SendXfer, XferCounters, XferId, XferState};
+pub use net::{
+    ChunkBytes, Envelope, NackVerdict, NetMsg, SendXfer, XferCounters, XferId, XferState,
+};
 pub use protocol::{InitiationProtocol, ProtocolKind};
 pub use remote::{
     Cluster, Destination, DstAnnouncement, NodeLinkStats, RemoteError, SharedCluster,

@@ -20,6 +20,8 @@ use crate::faulty::{deliver, DeliveryOutcome, FaultyLink, ReliabilityConfig};
 use crate::link::{LinkModel, RetryPolicy};
 use crate::remote::DstAnnouncement;
 use std::fmt;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 use udma_bus::SimTime;
 use udma_iommu::{Asid, IoFault};
 use udma_mem::{VirtAddr, PAGE_SIZE};
@@ -37,6 +39,50 @@ pub struct XferId {
 impl fmt::Display for XferId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}.x{}", self.node, self.index)
+    }
+}
+
+/// A read-only view of part of a transfer's payload: the buffer the
+/// sender posted, shared rather than copied, plus the visible range.
+/// Dereferences to the visible bytes; equality and `Debug` go by them
+/// alone, as for a `Vec<u8>` holding the same bytes.
+#[derive(Clone)]
+pub struct ChunkBytes {
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl ChunkBytes {
+    /// The bytes `range` of `buf`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` lies outside `buf`.
+    pub(crate) fn new(buf: Arc<Vec<u8>>, range: Range<usize>) -> Self {
+        assert!(range.start <= range.end && range.end <= buf.len(), "chunk outside its buffer");
+        ChunkBytes { buf, range }
+    }
+}
+
+impl Deref for ChunkBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl PartialEq for ChunkBytes {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for ChunkBytes {}
+
+impl fmt::Debug for ChunkBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -63,8 +109,9 @@ pub enum NetMsg {
         asid: Asid,
         /// Destination VA of this chunk.
         va: VirtAddr,
-        /// The in-order payload prefix the link layer delivered.
-        bytes: Vec<u8>,
+        /// The in-order payload prefix the link layer delivered, a view
+        /// of the sender's buffer.
+        bytes: ChunkBytes,
         /// What the go-back-N engine saw on the wire for this chunk
         /// (retransmits, CRC drops, …) — folded into the receiver's
         /// link counters on arrival.
@@ -217,8 +264,8 @@ pub struct SendXfer {
     pub dst_asid: Asid,
     /// Destination base VA.
     pub dst_va: VirtAddr,
-    /// The payload.
-    data: Vec<u8>,
+    /// The payload, shared with the data chunks in flight.
+    data: Arc<Vec<u8>>,
     /// Bytes acked so far (the next chunk starts here).
     cursor: u64,
     /// Next chunk index (increments on ACK, not on resend).
@@ -255,7 +302,7 @@ impl SendXfer {
             dst_node,
             dst_asid,
             dst_va,
-            data,
+            data: Arc::new(data),
             cursor: 0,
             chunk: 0,
             retries: 0,
@@ -329,23 +376,22 @@ impl SendXfer {
         assert!(self.cursor < self.len(), "launch with nothing left to send on {}", self.id);
         self.state = XferState::Streaming;
         let (va, len) = self.chunk_span();
-        let payload = &self.data[self.cursor as usize..(self.cursor + len) as usize];
-        let (outcome, bytes) = match chaos {
-            Some(faulty) => deliver(link, rel, faulty, payload),
-            None => {
-                // An ideal wire: the whole chunk arrives after one
-                // serialisation delay, nothing is resent.
-                let outcome = DeliveryOutcome {
-                    delivered: len,
-                    elapsed: link.transfer_time(len),
-                    wire_bytes: len,
-                    frames_sent: len.div_ceil(rel.mtu.max(1)) as u32,
-                    completed: true,
-                    ..DeliveryOutcome::default()
-                };
-                (outcome, payload.to_vec())
-            }
+        let start = self.cursor as usize;
+        let outcome = match chaos {
+            Some(faulty) => deliver(link, rel, faulty, &self.data[start..start + len as usize]),
+            // An ideal wire: the whole chunk arrives after one
+            // serialisation delay, nothing is resent.
+            None => DeliveryOutcome {
+                delivered: len,
+                elapsed: link.transfer_time(len),
+                wire_bytes: len,
+                frames_sent: len.div_ceil(rel.mtu.max(1)) as u32,
+                completed: true,
+                ..DeliveryOutcome::default()
+            },
         };
+        let bytes =
+            ChunkBytes::new(Arc::clone(&self.data), start..start + outcome.delivered as usize);
         self.counters.launches += 1;
         self.counters.retransmits += u64::from(outcome.retransmits);
         self.counters.wire_bytes += outcome.wire_bytes;
@@ -504,6 +550,45 @@ mod tests {
         assert_eq!(x.counters.moved, 2 * PAGE_SIZE);
         assert_eq!(x.counters.retransmits, 0);
         assert_eq!(x.finished, Some(now));
+    }
+
+    #[test]
+    fn clean_wire_chunks_are_views_of_the_posted_buffer() {
+        let link = LinkModel::atm155();
+        let rel = ReliabilityConfig::default();
+        let data: Vec<u8> = (0..3 * PAGE_SIZE).map(|i| (i * 13 + 5) as u8).collect();
+        let mut x = SendXfer::new(
+            XferId { node: 0, index: 0 },
+            1,
+            7,
+            VirtAddr::new(4 * PAGE_SIZE + 0x300),
+            data.clone(),
+            SimTime::ZERO,
+        );
+        let mut now = SimTime::ZERO;
+        while x.state() != XferState::Complete {
+            let cursor = x.cursor() as usize;
+            let (_, len) = x.chunk_span();
+            let (msg, arrival) = x.launch_chunk(now, &link, &rel, None);
+            let NetMsg::Data { chunk, bytes, .. } = msg else { panic!("data") };
+            let want = &x.data[cursor..cursor + len as usize];
+            assert_eq!(bytes.as_ptr(), want.as_ptr(), "chunk at {cursor} was copied");
+            assert_eq!(&*bytes, &data[cursor..cursor + len as usize]);
+            now = arrival + link.latency();
+            x.on_ack(chunk, bytes.len() as u64, now);
+        }
+        assert_eq!(x.counters.moved, data.len() as u64);
+    }
+
+    #[test]
+    fn chunk_bytes_compare_and_print_by_visible_bytes() {
+        let a = ChunkBytes::new(Arc::new(vec![9, 1, 2, 3, 9]), 1..4);
+        let b = ChunkBytes::new(Arc::new(vec![1, 2, 3]), 0..3);
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{:?}", vec![1u8, 2, 3]));
+        assert_ne!(a, ChunkBytes::new(Arc::new(vec![1, 2, 3]), 0..2));
+        fn is_send<T: Send>() {}
+        is_send::<NetMsg>();
     }
 
     #[test]

@@ -7,13 +7,22 @@
 //! Each scenario runs at a pinned seed; on divergence the failure
 //! message names the scenario, the seed and the first diverging sim
 //! event so the run can be replayed and bisected.
+//!
+//! Two golden checks close the gap differential runs leave open: a
+//! change that moves every backend alike. They pin a full cluster digest
+//! and a Machine-world remote run to hashes recorded earlier, so any
+//! moved simulated result fails here.
 
-use udma::{ClusterConfig, ClusterDigest, ClusterSim};
+use udma::{
+    ClusterConfig, ClusterDigest, ClusterSim, DmaMethod, Machine, MachineConfig, ProcessSpec,
+    VirtDmaSetup,
+};
 use udma_bus::sim::RunnerKind;
 use udma_bus::SimTime;
-use udma_iommu::Asid;
+use udma_cpu::ProgramBuilder;
+use udma_iommu::{Asid, IotlbConfig};
 use udma_mem::{Perms, PhysAddr, VirtAddr, PAGE_SIZE};
-use udma_nic::{CrashPlan, FaultPlan, XferState};
+use udma_nic::{CrashPlan, FaultPlan, TransferRecord, XferState};
 use udma_testkit::crc32_bitwise;
 use udma_testkit::rng::TestRng;
 
@@ -315,3 +324,160 @@ fn recording_the_log_changes_nothing_else() {
         }
     }
 }
+
+/// FNV-1a over a rendering: a stable 64-bit fingerprint for the golden
+/// checks below.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xCBF2_9CE4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3))
+}
+
+/// Every fault path of the cluster world in one small seeded run: a
+/// chaos link that drops, duplicates, reorders and corrupts frames, a
+/// crash and reboot, demand-paged and pinned destination slots with
+/// range announcements, and the event log on.
+fn golden_cluster() -> ClusterSim {
+    const GOLDEN_NODES: u32 = 6;
+    let mut cfg = ClusterConfig::new(GOLDEN_NODES);
+    cfg.record_log = true;
+    cfg.node_bytes = 1 << 18;
+    cfg.announce = true;
+    cfg.health.down_after = 6;
+    cfg.chaos = Some(
+        FaultPlan::lossless(0x601D)
+            .with_drop(0.06)
+            .with_duplicate(0.05)
+            .with_reorder(0.05)
+            .with_corrupt(0.04),
+    );
+    let mut sim = ClusterSim::new(cfg);
+    let mut rng = TestRng::seed_from_u64(0x601D);
+    for node in 0..GOLDEN_NODES {
+        sim.grant(node, ASID, VirtAddr::new(BASE), REGION_PAGES, Perms::READ_WRITE)
+            .expect("fresh region");
+        // The low half of every region is pinned, the high half demand-faults.
+        sim.pin(node, ASID, VirtAddr::new(BASE), REGION_PAGES / 2 * PAGE_SIZE).expect("pinnable");
+    }
+    for src in 0..GOLDEN_NODES {
+        for _ in 0..3 {
+            let dst =
+                (src + 1 + (rng.next_u64() % u64::from(GOLDEN_NODES - 1)) as u32) % GOLDEN_NODES;
+            let max_len = 3 * PAGE_SIZE;
+            let off = rng.next_u64() % (REGION_PAGES * PAGE_SIZE - max_len);
+            let len = 1 + rng.next_u64() % max_len;
+            let at = SimTime::from_us(rng.next_u64() % 60);
+            sim.post(src, dst, ASID, VirtAddr::new(BASE + off), len, at);
+        }
+    }
+    sim.inject_crash(CrashPlan::crash(2, SimTime::from_us(40), SimTime::from_us(200)));
+    sim.run();
+    sim
+}
+
+/// The full cluster digest — memories, counters, transfer outcomes,
+/// event totals and the event log — equals the value recorded before
+/// the payload path was made copy-free. Any change to the simulator
+/// that moves a simulated result, however slightly, breaks this.
+#[test]
+fn cluster_digest_matches_the_recorded_golden() {
+    let digest = golden_cluster().digest();
+    assert!(digest.nodes.iter().any(|n| n.crash.reboots > 0), "no reboot: vacuous plan");
+    assert!(digest.nodes.iter().any(|n| n.nacks_raised > 0), "no demand fault: vacuous");
+    let link = digest.nodes.iter().fold((0, 0, 0), |acc, n| {
+        (acc.0 + n.link.crc_dropped, acc.1 + n.link.dup_ignored, acc.2 + n.link.ooo_discarded)
+    });
+    assert!(link.0 > 0 && link.1 > 0 && link.2 > 0, "chaos mix did not bite: {link:?}");
+    let rendered = format!("{digest:?}");
+    assert_eq!(
+        (digest.events, digest.log.len(), fnv64(rendered.as_bytes())),
+        GOLDEN_CLUSTER,
+        "cluster digest moved"
+    );
+}
+
+/// `(events, log lines, FNV-1a of the digest's Debug rendering)`.
+const GOLDEN_CLUSTER: (u64, usize, u64) = (204, 204, 13_751_350_505_343_661_936);
+
+/// A Machine-world remote run through the DMA mover over a chaos link:
+/// three transfers of different sizes and alignments. Returns the
+/// mover's records, the destination bytes, and a rendering of the
+/// transfers' and the link's counters.
+fn golden_machine() -> (Vec<TransferRecord>, Vec<u8>, String) {
+    const PAGES: u64 = 6;
+    const NODE: u32 = 0;
+    const REMOTE_ASID: u32 = 7;
+    const REMOTE_VA: u64 = 32 * PAGE_SIZE;
+    let chaos = FaultPlan::lossless(0x601E)
+        .with_drop(0.1)
+        .with_duplicate(0.05)
+        .with_reorder(0.05)
+        .with_corrupt(0.05);
+    let mut m = Machine::new(MachineConfig {
+        virt_dma: Some(VirtDmaSetup::pin_on_post(IotlbConfig::default())),
+        remote_nodes: 1,
+        link_chaos: Some(chaos),
+        ..MachineConfig::new(DmaMethod::Kernel)
+    });
+    let pid =
+        m.spawn(&ProcessSpec::two_buffers_of(PAGES), |_| ProgramBuilder::new().halt().build());
+    m.grant_remote_buffer(NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGES, Perms::READ_WRITE);
+    let src_frame = m.env(pid).buffer(0).first_frame;
+    let data: Vec<u8> = (0..PAGES * PAGE_SIZE).map(|i| (i.wrapping_mul(37) % 251) as u8).collect();
+    m.memory().borrow_mut().write_bytes(src_frame.base(), &data).unwrap();
+    let src = m.env(pid).buffer(0).va;
+    let mut virt = Vec::new();
+    for (src_off, dst_off, size) in [
+        (0, 0, 3 * PAGE_SIZE),
+        (0x123, PAGE_SIZE * 3 + 0x77, 5000),
+        (2 * PAGE_SIZE + 8, 0x10, 1500),
+    ] {
+        let id = m
+            .post_virt_remote(
+                pid,
+                src + src_off,
+                NODE,
+                REMOTE_ASID,
+                VirtAddr::new(REMOTE_VA + dst_off),
+                size,
+            )
+            .expect("posts");
+        m.run_virt(id, 64);
+        virt.push(m.virt_xfer(id));
+    }
+    let cluster = m.cluster().expect("remote nodes");
+    let cl = cluster.borrow();
+    let mut bytes = vec![0u8; (PAGES * PAGE_SIZE) as usize];
+    for p in 0..PAGES {
+        let frame = cl
+            .node_iommu(NODE)
+            .and_then(|i| i.table(REMOTE_ASID))
+            .and_then(|t| t.entry(VirtAddr::new(REMOTE_VA + p * PAGE_SIZE).page()))
+            .map(|e| e.frame.base())
+            .expect("pinned grant");
+        let s = (p * PAGE_SIZE) as usize;
+        cl.read(NODE, frame, &mut bytes[s..s + PAGE_SIZE as usize]).unwrap();
+    }
+    let counters = format!("{virt:?} {:?} {:?}", m.link_chaos_stats(), m.node_link_stats(NODE));
+    (m.transfers(), bytes, counters)
+}
+
+/// The Machine world's remote records and destination bytes equal the
+/// values recorded before the payload path was made copy-free.
+#[test]
+fn machine_remote_run_matches_the_recorded_golden() {
+    let (records, bytes, counters) = golden_machine();
+    assert!(records.iter().any(|r| r.remote_node.is_some()), "no remote deposit");
+    assert!(bytes.iter().any(|&b| b != 0), "nothing landed");
+    let rendered = format!("{records:?}");
+    assert_eq!(
+        (records.len(), fnv64(rendered.as_bytes()), fnv64(&bytes), fnv64(counters.as_bytes())),
+        GOLDEN_MACHINE,
+        "machine remote run moved"
+    );
+}
+
+/// `(records, FNV-1a of their Debug rendering, FNV-1a of the bytes,
+/// FNV-1a of the counters' rendering)`.
+const GOLDEN_MACHINE: (usize, u64, u64, u64) =
+    (5, 2_803_840_823_398_043_913, 14_339_108_168_823_442_104, 14_450_873_212_203_472_175);
