@@ -6,6 +6,9 @@ cd "$(dirname "$0")"
 
 echo "== format check =="
 cargo fmt --check
+# perfbench is its own Cargo workspace, so the workspace-wide gates
+# above and below skip it; check it explicitly.
+cargo fmt --check --manifest-path perfbench/Cargo.toml
 
 echo "== build (release, offline) =="
 cargo build --release --offline
@@ -95,6 +98,8 @@ cargo bench -q --offline -p udma-bench --bench sim > /dev/null
 
 echo "== clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+CARGO_TARGET_DIR=.bench_build cargo clippy --offline --manifest-path perfbench/Cargo.toml \
+  --all-targets -- -D warnings
 
 echo "== experiments smoke =="
 cargo run --release --offline -p udma-bench --bin experiments -- --smoke > /dev/null

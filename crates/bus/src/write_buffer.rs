@@ -18,7 +18,7 @@
 //!   bus at all.
 //!
 //! Programs flush the buffer with a memory-barrier instruction, which the
-//! CPU translates into [`WriteBuffer::drain`].
+//! CPU translates into popping [`WriteBuffer::pop_oldest`] until empty.
 
 use crate::BusTxn;
 use std::collections::VecDeque;
@@ -81,7 +81,9 @@ impl WriteBufferPolicy {
 /// wb.push(PendingStore { paddr: PhysAddr::new(0x100), data: 1, tag: 0 });
 /// wb.push(PendingStore { paddr: PhysAddr::new(0x100), data: 2, tag: 0 });
 /// // Same address: collapsed — the bus will see ONE store (footnote 6).
-/// assert_eq!(wb.drain().len(), 1);
+/// assert_eq!(wb.len(), 1);
+/// assert_eq!(wb.pop_oldest().map(|p| p.data), Some(2));
+/// assert!(wb.is_empty());
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct WriteBuffer {
@@ -102,27 +104,25 @@ impl WriteBuffer {
         self.policy
     }
 
-    /// Buffers a store. Returns any stores that must retire to the bus
-    /// *now* (the overflow victim, or the store itself when the buffer is
-    /// disabled), oldest first.
-    pub fn push(&mut self, store: PendingStore) -> Vec<PendingStore> {
+    /// Buffers a store. Returns the store that must retire to the bus
+    /// *now*, if any: the overflow victim, or the store itself when the
+    /// buffer is disabled. At most one store ever retires per push.
+    pub fn push(&mut self, store: PendingStore) -> Option<PendingStore> {
         if self.policy.capacity == 0 {
-            return vec![store];
+            return Some(store);
         }
         if self.policy.collapse_stores {
             if let Some(p) = self.queue.iter_mut().rev().find(|p| p.paddr == store.paddr) {
                 p.data = store.data;
                 p.tag = store.tag;
                 self.collapsed += 1;
-                return Vec::new();
+                return None;
             }
         }
-        let mut retired = Vec::new();
-        if self.queue.len() == self.policy.capacity {
-            retired.push(self.queue.pop_front().expect("buffer full"));
-        }
+        let victim =
+            if self.queue.len() == self.policy.capacity { self.queue.pop_front() } else { None };
         self.queue.push_back(store);
-        retired
+        victim
     }
 
     /// Attempts to satisfy a load from the buffer. Returns the forwarded
@@ -139,10 +139,10 @@ impl WriteBuffer {
         hit
     }
 
-    /// Empties the buffer (a memory-barrier instruction), returning the
-    /// pending stores oldest first so the caller can retire them in order.
-    pub fn drain(&mut self) -> Vec<PendingStore> {
-        self.queue.drain(..).collect()
+    /// Removes and returns the oldest pending store. A memory barrier
+    /// pops until this returns `None`, retiring each store in order.
+    pub fn pop_oldest(&mut self) -> Option<PendingStore> {
+        self.queue.pop_front()
     }
 
     /// Number of pending stores.
@@ -174,15 +174,19 @@ mod tests {
         PendingStore { paddr: PhysAddr::new(pa), data, tag: 1 }
     }
 
+    /// Pops every pending store, oldest first (what a barrier retires).
+    fn drain(wb: &mut WriteBuffer) -> Vec<PendingStore> {
+        std::iter::from_fn(|| wb.pop_oldest()).collect()
+    }
+
     #[test]
     fn same_address_stores_collapse() {
         let mut wb = WriteBuffer::new(WriteBufferPolicy::default());
-        assert!(wb.push(st(0x100, 1)).is_empty());
-        assert!(wb.push(st(0x100, 2)).is_empty());
+        assert_eq!(wb.push(st(0x100, 1)), None);
+        assert_eq!(wb.push(st(0x100, 2)), None);
         assert_eq!(wb.len(), 1);
         assert_eq!(wb.collapsed_count(), 1);
-        let drained = wb.drain();
-        assert_eq!(drained, vec![st(0x100, 2)]);
+        assert_eq!(drain(&mut wb), vec![st(0x100, 2)]);
     }
 
     #[test]
@@ -219,10 +223,10 @@ mod tests {
     fn overflow_retires_oldest() {
         let policy = WriteBufferPolicy { capacity: 2, ..Default::default() };
         let mut wb = WriteBuffer::new(policy);
-        assert!(wb.push(st(8, 1)).is_empty());
-        assert!(wb.push(st(2 * 8, 2)).is_empty());
+        assert_eq!(wb.push(st(8, 1)), None);
+        assert_eq!(wb.push(st(2 * 8, 2)), None);
         let retired = wb.push(st(3 * 8, 3));
-        assert_eq!(retired, vec![st(8, 1)]);
+        assert_eq!(retired, Some(st(8, 1)));
         assert_eq!(wb.len(), 2);
     }
 
@@ -232,7 +236,7 @@ mod tests {
         wb.push(st(8, 1));
         wb.push(st(16, 2));
         wb.push(st(24, 3));
-        let order: Vec<u64> = wb.drain().iter().map(|p| p.paddr.as_u64()).collect();
+        let order: Vec<u64> = drain(&mut wb).iter().map(|p| p.paddr.as_u64()).collect();
         assert_eq!(order, vec![8, 16, 24]);
         assert!(wb.is_empty());
     }
@@ -241,7 +245,7 @@ mod tests {
     fn disabled_policy_passes_through() {
         let mut wb = WriteBuffer::new(WriteBufferPolicy::disabled());
         let retired = wb.push(st(8, 1));
-        assert_eq!(retired, vec![st(8, 1)]);
+        assert_eq!(retired, Some(st(8, 1)));
         assert!(wb.is_empty());
         assert_eq!(wb.service_load(PhysAddr::new(8)), None);
     }

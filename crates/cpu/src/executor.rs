@@ -5,6 +5,7 @@ use crate::{
     CostModel, Instr, Operand, Pid, Process, Program, Reg, Scheduler, SwitchReason, TrapHandler,
 };
 use std::collections::HashMap;
+use std::rc::Rc;
 use udma_bus::{
     AgentId, Bus, BusOp, BusTxn, CacheConfig, CacheStats, DataCache, PendingStore, SharedCoherence,
     SimTime, WriteBuffer, WriteBufferPolicy,
@@ -46,8 +47,13 @@ pub struct Executor {
     cost: CostModel,
     now: SimTime,
     current: Option<Pid>,
-    pal: HashMap<u16, Program>,
+    /// Installed PAL functions. Shared slices, so a call runs the body
+    /// in place without copying it.
+    pal: HashMap<u16, Rc<[Instr]>>,
     stats: ExecStats,
+    /// The ready list handed to the scheduler, refilled in place before
+    /// every step of [`run`](Self::run).
+    ready: Vec<Pid>,
     /// When attached, cacheable loads and retired stores go through this
     /// agent of a data-carrying coherence domain instead of the
     /// timing-only `dcache` + flat RAM: the cache holds real line
@@ -88,6 +94,7 @@ impl Executor {
             current: None,
             pal: HashMap::new(),
             stats: ExecStats::default(),
+            ready: Vec::new(),
             coherence: None,
         }
     }
@@ -117,7 +124,7 @@ impl Executor {
     /// register and branch instructions only; `Syscall`, `CallPal` and
     /// `Halt` inside PAL kill the calling process.
     pub fn install_pal(&mut self, index: u16, program: Program) {
-        self.pal.insert(index, program);
+        self.pal.insert(index, program.instrs().into());
     }
 
     /// Current simulation time.
@@ -156,7 +163,11 @@ impl Executor {
 
     /// Pids currently able to run.
     pub fn ready_pids(&self) -> Vec<Pid> {
-        self.processes.iter().filter(|p| p.state().is_ready()).map(|p| p.pid()).collect()
+        self.ready_iter().collect()
+    }
+
+    fn ready_iter(&self) -> impl Iterator<Item = Pid> + '_ {
+        self.processes.iter().filter(|p| p.state().is_ready()).map(|p| p.pid())
     }
 
     /// Executor counters.
@@ -192,13 +203,17 @@ impl Executor {
         max_steps: u64,
     ) -> RunOutcome {
         let mut steps = 0;
+        let mut idle = false;
+        let mut ready = std::mem::take(&mut self.ready);
         while steps < max_steps {
-            let ready = self.ready_pids();
+            ready.clear();
+            ready.extend(self.ready_iter());
             if ready.is_empty() {
                 // A real write buffer drains within cycles of going idle;
                 // retire whatever the last process left behind.
                 self.retire_all(bus);
-                return RunOutcome { steps, finished: true };
+                idle = true;
+                break;
             }
             let pick = sched.pick(self.stats.instructions, self.current, &ready);
             debug_assert!(ready.contains(&pick), "scheduler picked non-ready {pick}");
@@ -208,7 +223,8 @@ impl Executor {
             self.exec_one(pick, kernel, bus);
             steps += 1;
         }
-        RunOutcome { steps, finished: self.ready_pids().is_empty() }
+        self.ready = ready;
+        RunOutcome { steps, finished: idle || self.ready_iter().next().is_none() }
     }
 
     fn switch_to(&mut self, to: Pid, kernel: &mut dyn TrapHandler, bus: &mut Bus) {
@@ -326,7 +342,7 @@ impl Executor {
 
     /// Executes an installed PAL function to completion, uninterrupted.
     fn exec_pal(&mut self, idx: usize, index: u16, bus: &mut Bus) {
-        let Some(prog) = self.pal.get(&index).cloned() else {
+        let Some(prog) = self.pal.get(&index).map(Rc::clone) else {
             // Calling an uninstalled PAL slot is an illegal instruction.
             let va = udma_mem::VirtAddr::new(index as u64);
             self.processes[idx].fault(MemFault::Unmapped { va });
@@ -337,7 +353,7 @@ impl Executor {
         // PAL calls are bounded; a runaway loop in PAL code is a model
         // bug, so cap generously and kill the process if exceeded.
         let mut fuel = 4096;
-        while let Some(&ins) = prog.fetch(pc) {
+        while let Some(&ins) = prog.get(pc) {
             fuel -= 1;
             if fuel == 0 {
                 self.processes[idx].halt();
@@ -522,8 +538,7 @@ impl Executor {
         };
         self.now += self.cost.mem_instr();
         let tag = self.processes[idx].pid().as_u32();
-        let retired = self.wb.push(PendingStore { paddr: pa, data, tag });
-        for p in retired {
+        if let Some(p) = self.wb.push(PendingStore { paddr: pa, data, tag }) {
             if let Err(f) = self.retire(p, bus) {
                 self.kill(idx, f);
                 return Err(());
@@ -556,7 +571,7 @@ impl Executor {
     }
 
     fn retire_all(&mut self, bus: &mut Bus) {
-        for p in self.wb.drain() {
+        while let Some(p) = self.wb.pop_oldest() {
             // A store that faults at retirement belongs to the process
             // that issued it; kill that process if it is still around.
             if let Err(f) = self.retire(p, bus) {

@@ -180,22 +180,8 @@ impl PhysMemory {
         let mut addr = pa.as_u64();
         let mut done = 0usize;
         while done < buf.len() {
-            let frame = addr >> PAGE_SHIFT;
-            let off = (addr & (PAGE_SIZE - 1)) as usize;
-            let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
-            let src = &buf[done..done + chunk];
-            if chunk == PAGE_SIZE as usize {
-                // A whole frame: its old contents, if any, are all
-                // overwritten, so an absent frame needs no zero-fill.
-                match self.frames.entry(frame) {
-                    Entry::Occupied(data) => data.into_mut().copy_from_slice(src),
-                    Entry::Vacant(slot) => {
-                        slot.insert(src.into());
-                    }
-                }
-            } else {
-                self.frame_mut(frame)[off..off + chunk].copy_from_slice(src);
-            }
+            let chunk = (room_after(addr) as usize).min(buf.len() - done);
+            self.write_in_frame(addr, Some(&buf[done..done + chunk]), chunk);
             done += chunk;
             addr += chunk as u64;
         }
@@ -232,7 +218,9 @@ impl PhysMemory {
 
     /// Copies `len` bytes from `src` to `dst` within physical memory, as
     /// the DMA data mover does. Handles overlapping ranges like
-    /// `memmove`.
+    /// `memmove`. Bytes move frame to frame with no intermediate buffer,
+    /// and destination frames materialise exactly as
+    /// [`write_bytes`](Self::write_bytes) would materialise them.
     ///
     /// # Errors
     ///
@@ -240,11 +228,103 @@ impl PhysMemory {
     pub fn copy(&mut self, src: PhysAddr, dst: PhysAddr, len: u64) -> Result<(), MemFault> {
         self.check(src, len)?;
         self.check(dst, len)?;
-        // Simple and correct: buffer the source. DMA transfers in the
-        // evaluation are at most a few pages.
-        let mut buf = vec![0u8; len as usize];
-        self.read_bytes(src, &mut buf)?;
-        self.write_bytes(dst, &buf)
+        self.mark_dirty(dst.as_u64(), len);
+        let (src, dst) = (src.as_u64(), dst.as_u64());
+        // memmove: when the destination starts above an overlapping
+        // source, walk from the end so no source byte is overwritten
+        // before it is read. Each step stays inside one source and one
+        // destination frame.
+        let backward = dst > src && dst - src < len;
+        let mut left = len;
+        while left > 0 {
+            let (s, d, n) = if backward {
+                let n = left.min(room_before(src + left)).min(room_before(dst + left));
+                (src + left - n, dst + left - n, n)
+            } else {
+                let done = len - left;
+                let n = left.min(room_after(src + done)).min(room_after(dst + done));
+                (src + done, dst + done, n)
+            };
+            self.copy_in_frames(s, d, n as usize);
+            left -= n;
+        }
+        Ok(())
+    }
+
+    /// Copies `len` bytes from `src` in `other` to `dst` in this memory
+    /// (a deposit from one machine's memory into another's), frame to
+    /// frame with no intermediate buffer. Destination frames materialise
+    /// exactly as [`write_bytes`](Self::write_bytes) would materialise
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// [`MemFault::BusError`] if the source range is outside `other` or
+    /// the destination range is outside this memory; nothing is written.
+    pub fn copy_from(
+        &mut self,
+        dst: PhysAddr,
+        other: &PhysMemory,
+        src: PhysAddr,
+        len: u64,
+    ) -> Result<(), MemFault> {
+        other.check(src, len)?;
+        self.check(dst, len)?;
+        self.mark_dirty(dst.as_u64(), len);
+        let (src, dst) = (src.as_u64(), dst.as_u64());
+        let mut done = 0;
+        while done < len {
+            let (s, d) = (src + done, dst + done);
+            let n = (len - done).min(room_after(s)).min(room_after(d));
+            let from = other.frames.get(&(s >> PAGE_SHIFT)).map(|f| &f[offset(s)..][..n as usize]);
+            self.write_in_frame(d, from, n as usize);
+            done += n;
+        }
+        Ok(())
+    }
+
+    /// Copies `n` bytes from `src` to `dst`, both ranges inside a single
+    /// frame each (possibly the same frame, possibly overlapping).
+    fn copy_in_frames(&mut self, src: u64, dst: u64, n: usize) {
+        let (sf, df) = (src >> PAGE_SHIFT, dst >> PAGE_SHIFT);
+        let (so, dof) = (offset(src), offset(dst));
+        if sf == df {
+            let frame = self.frame_mut(df);
+            frame.copy_within(so..so + n, dof);
+        } else if self.frames.contains_key(&df) {
+            match self.frames.get_disjoint_mut([&sf, &df]) {
+                [Some(from), Some(to)] => to[dof..dof + n].copy_from_slice(&from[so..so + n]),
+                [None, Some(to)] => to[dof..dof + n].fill(0),
+                _ => unreachable!("destination frame checked present"),
+            }
+        } else {
+            // Borrow the source only while building the new frame, then
+            // insert it: an absent destination cannot alias the source.
+            let from = self.frames.get(&sf).map(|f| &f[so..so + n]);
+            let frame = new_frame(dof, from, n);
+            self.frames.insert(df, frame);
+        }
+    }
+
+    /// Writes `n` bytes (zeros when `from` is `None`, an absent source
+    /// frame) at `dst`, inside one frame, materialising it if needed.
+    /// Every write to memory lands through here or through
+    /// [`copy_in_frames`](Self::copy_in_frames), which materialises
+    /// frames the same way.
+    fn write_in_frame(&mut self, dst: u64, from: Option<&[u8]>, n: usize) {
+        let off = offset(dst);
+        match self.frames.entry(dst >> PAGE_SHIFT) {
+            Entry::Occupied(frame) => {
+                let to = &mut frame.into_mut()[off..off + n];
+                match from {
+                    Some(from) => to.copy_from_slice(from),
+                    None => to.fill(0),
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(new_frame(off, from, n));
+            }
+        }
     }
 
     /// Fills `len` bytes at `pa` with `byte`.
@@ -256,6 +336,37 @@ impl PhysMemory {
         self.check(pa, len)?;
         let buf = vec![byte; len as usize];
         self.write_bytes(pa, &buf)
+    }
+}
+
+/// Offset of `pa` within its frame.
+fn offset(pa: u64) -> usize {
+    (pa & (PAGE_SIZE - 1)) as usize
+}
+
+/// Bytes from `pa` to the end of its frame.
+fn room_after(pa: u64) -> u64 {
+    PAGE_SIZE - offset(pa) as u64
+}
+
+/// Bytes from the start of the frame holding `end - 1` up to `end`.
+fn room_before(end: u64) -> u64 {
+    ((end - 1) & (PAGE_SIZE - 1)) + 1
+}
+
+/// A frame materialised by its first write: `n` bytes of `from` (zeros
+/// when `None`) at `off`, zero elsewhere. A whole-frame write is built
+/// from the bytes directly, with no zero-fill first.
+fn new_frame(off: usize, from: Option<&[u8]>, n: usize) -> Box<[u8]> {
+    match from {
+        Some(from) if n == PAGE_SIZE as usize => from.into(),
+        _ => {
+            let mut frame = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
+            if let Some(from) = from {
+                frame[off..off + n].copy_from_slice(from);
+            }
+            frame
+        }
     }
 }
 

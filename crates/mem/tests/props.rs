@@ -1,7 +1,7 @@
 //! Property-based tests for the memory substrate.
 
 use std::collections::BTreeSet;
-use udma_testkit::prop::{any, vec};
+use udma_testkit::prop::{any, vec, CaseResult};
 use udma_testkit::rng::TestRng;
 use udma_testkit::{prop_assert, prop_assert_eq, props};
 
@@ -31,6 +31,101 @@ impl FlatMemory {
             self.dirty.extend((pa / self.line..=(end - 1) / self.line).map(|l| l * self.line));
         }
         true
+    }
+
+    /// `memmove` semantics: snapshot the source, then write it.
+    fn copy(&mut self, src: u64, dst: u64, len: u64) -> bool {
+        if src + len > self.bytes.len() as u64 {
+            return false;
+        }
+        let data = self.bytes[src as usize..(src + len) as usize].to_vec();
+        self.write(dst, &data)
+    }
+
+    fn new(frames: u64, line: u64) -> Self {
+        FlatMemory {
+            bytes: vec![0; (frames * PAGE_SIZE) as usize],
+            resident: BTreeSet::new(),
+            line,
+            dirty: BTreeSet::new(),
+        }
+    }
+}
+
+/// `mem` holds the model's bytes, exactly the model's resident frames
+/// (with the model's contents), and the model's dirty lines.
+fn matches_model(mem: &PhysMemory, model: &FlatMemory) -> CaseResult {
+    let mut image = vec![0u8; model.bytes.len()];
+    mem.read_bytes(PhysAddr::new(0), &mut image).unwrap();
+    prop_assert!(image == model.bytes, "flat images differ");
+    prop_assert_eq!(mem.resident_frames(), model.resident.len());
+    for f in 0..model.bytes.len() as u64 / PAGE_SIZE {
+        let want = &model.bytes[(f * PAGE_SIZE) as usize..((f + 1) * PAGE_SIZE) as usize];
+        match mem.resident_frame(PhysFrame::new(f)) {
+            Some(got) => {
+                prop_assert!(model.resident.contains(&f), "frame {f} resident but never written");
+                prop_assert!(got == want, "frame {f} contents differ");
+            }
+            None => prop_assert!(!model.resident.contains(&f), "written frame {f} absent"),
+        }
+    }
+    prop_assert_eq!(mem.dirty_lines(), model.dirty.iter().copied().collect::<Vec<_>>());
+    Ok(())
+}
+
+/// A random `copy` case over `frames` frames: forward or backward
+/// overlap, inside one frame, straddling frame boundaries, several
+/// pages, or touching a frame no write has materialised yet. Some
+/// ranges run past the end on purpose.
+fn copy_case(rng: &mut TestRng, frames: u64, resident: &BTreeSet<u64>) -> (u64, u64, u64) {
+    let size = frames * PAGE_SIZE;
+    let any_len = |rng: &mut TestRng| rng.gen_range(1..2 * PAGE_SIZE);
+    match rng.gen_index(6) {
+        // Destination below an overlapping source.
+        0 => {
+            let len = any_len(rng);
+            let src = rng.gen_range(1..size);
+            (src, src - rng.gen_range(1..len.min(src) + 1), len)
+        }
+        // Destination at or above an overlapping source.
+        1 => {
+            let len = any_len(rng);
+            let src = rng.gen_range(0..size);
+            (src, src + rng.gen_range(1..len + 1) - 1, len)
+        }
+        // Both ranges in one frame.
+        2 => {
+            let base = rng.gen_range(0..frames) * PAGE_SIZE;
+            let (a, b) = (rng.gen_range(0..PAGE_SIZE), rng.gen_range(0..PAGE_SIZE));
+            let len = rng.gen_range(1..PAGE_SIZE - a.max(b) + 1);
+            (base + a, base + b, len)
+        }
+        // Both ranges straddle a frame boundary, at different offsets.
+        3 => {
+            let (sf, df) = (rng.gen_range(1..frames), rng.gen_range(1..frames));
+            let (a, b) = (rng.gen_range(1..PAGE_SIZE), rng.gen_range(1..PAGE_SIZE));
+            let len = a.max(b) + rng.gen_range(1..PAGE_SIZE);
+            (sf * PAGE_SIZE - a, df * PAGE_SIZE - b, len)
+        }
+        // Several pages.
+        4 => {
+            let len = rng.gen_range(1..frames / 2) * PAGE_SIZE + rng.gen_range(0..PAGE_SIZE);
+            (rng.gen_range(0..size), rng.gen_range(0..size), len)
+        }
+        // A never-written source or destination frame, when one is left.
+        _ => {
+            let absent: Vec<u64> = (0..frames).filter(|f| !resident.contains(f)).collect();
+            let pick = |rng: &mut TestRng| match absent.len() {
+                0 => rng.gen_range(0..size),
+                n => absent[rng.gen_index(n)] * PAGE_SIZE + rng.gen_range(0..PAGE_SIZE),
+            };
+            let len = any_len(rng);
+            if rng.gen_bool(0.5) {
+                (pick(rng), rng.gen_range(0..size), len)
+            } else {
+                (rng.gen_range(0..size), pick(rng), len)
+            }
+        }
     }
 }
 
@@ -103,9 +198,10 @@ props! {
 
     /// Differential check against a flat image: random writes that cover
     /// whole frames (absent or present), straddle frames or touch part
-    /// of one, aligned `u64` stores, failing writes past the end and
-    /// reads all leave the same bytes, the same resident frames and the
-    /// same dirty lines as the model.
+    /// of one, aligned `u64` stores, in-memory copies (see [`copy_case`]),
+    /// failing writes and copies past the end and reads all leave the
+    /// same bytes, the same resident frames and the same dirty lines as
+    /// the model.
     fn phys_memory_matches_a_flat_image(
         seed in any::<u64>(),
         ops in 1usize..48,
@@ -116,16 +212,11 @@ props! {
         let line = 1u64 << line_shift;
         let mut mem = PhysMemory::new(size);
         mem.track_lines(line);
-        let mut model = FlatMemory {
-            bytes: vec![0; size as usize],
-            resident: BTreeSet::new(),
-            line,
-            dirty: BTreeSet::new(),
-        };
+        let mut model = FlatMemory::new(FRAMES, line);
         let mut rng = TestRng::seed_from_u64(seed);
         for _ in 0..ops {
             let frame = rng.gen_range(0..FRAMES);
-            let (pa, len) = match rng.gen_index(6) {
+            let (pa, len) = match rng.gen_index(8) {
                 // Whole frames, one to three of them.
                 0 => (frame * PAGE_SIZE, rng.gen_range(1..4) * PAGE_SIZE),
                 // A partial head, a whole frame, a partial tail.
@@ -149,6 +240,13 @@ props! {
                     prop_assert_eq!(&got[..], &model.bytes[pa as usize..pa as usize + got.len()]);
                     continue;
                 }
+                5 | 6 => {
+                    let (src, dst, len) = copy_case(&mut rng, FRAMES, &model.resident);
+                    let ok = model.copy(src, dst, len);
+                    let got = mem.copy(PhysAddr::new(src), PhysAddr::new(dst), len);
+                    prop_assert_eq!(got.is_ok(), ok, "copy {src:#x} -> {dst:#x}, {len} bytes");
+                    continue;
+                }
                 _ => {
                     mem.clear_dirty_lines();
                     model.dirty.clear();
@@ -160,21 +258,54 @@ props! {
             let ok = model.write(pa, &data);
             prop_assert_eq!(mem.write_bytes(PhysAddr::new(pa), &data).is_ok(), ok);
         }
-        let mut image = vec![0u8; size as usize];
-        mem.read_bytes(PhysAddr::new(0), &mut image).unwrap();
-        prop_assert!(image == model.bytes, "flat images differ");
-        prop_assert_eq!(mem.resident_frames(), model.resident.len());
-        for f in 0..FRAMES {
-            let want = &model.bytes[(f * PAGE_SIZE) as usize..((f + 1) * PAGE_SIZE) as usize];
-            match mem.resident_frame(PhysFrame::new(f)) {
-                Some(got) => {
-                    prop_assert!(model.resident.contains(&f), "frame {f} resident but never written");
-                    prop_assert!(got == want, "frame {f} contents differ");
-                }
-                None => prop_assert!(!model.resident.contains(&f), "written frame {f} absent"),
-            }
+        matches_model(&mem, &model)?;
+    }
+
+    /// `copy_from` between two memories of different sizes, in both
+    /// directions, against two flat models: each deposit lands exactly
+    /// as a write of the source bytes would, the source memory is never
+    /// touched, and a range past either end fails and changes nothing.
+    fn copy_from_matches_two_flat_images(
+        seed in any::<u64>(),
+        ops in 1usize..32,
+        line_shift in 5u32..8,
+    ) {
+        const FRAMES: [u64; 2] = [4, 7];
+        let line = 1u64 << line_shift;
+        let mut mems = FRAMES.map(|f| PhysMemory::new(f * PAGE_SIZE));
+        let mut models = FRAMES.map(|f| FlatMemory::new(f, line));
+        for mem in &mut mems {
+            mem.track_lines(line);
         }
-        prop_assert_eq!(mem.dirty_lines(), model.dirty.iter().copied().collect::<Vec<_>>());
+        let mut rng = TestRng::seed_from_u64(seed);
+        for _ in 0..ops {
+            let to = rng.gen_index(2);
+            let from = 1 - to;
+            if rng.gen_index(3) == 0 {
+                // Seed some source bytes, part of a frame or several.
+                let pa = rng.gen_range(0..FRAMES[from] * PAGE_SIZE);
+                let len = rng.gen_range(1..FRAMES[from] * PAGE_SIZE - pa + 1);
+                let data: Vec<u8> = (0..len).map(|i| (i as u8) ^ (pa as u8)).collect();
+                prop_assert!(models[from].write(pa, &data));
+                mems[from].write_bytes(PhysAddr::new(pa), &data).unwrap();
+                continue;
+            }
+            // Draw the ranges over the larger memory so some run past the
+            // end of the smaller one.
+            let (src, dst, len) = copy_case(&mut rng, FRAMES[1], &models[from].resident);
+            let src_size = models[from].bytes.len() as u64;
+            let ok = src + len <= src_size && {
+                let data = models[from].bytes[src as usize..(src + len) as usize].to_vec();
+                models[to].write(dst, &data)
+            };
+            let [a, b] = &mut mems;
+            let (dst_mem, src_mem) = if to == 0 { (a, &*b) } else { (b, &*a) };
+            let got = dst_mem.copy_from(PhysAddr::new(dst), src_mem, PhysAddr::new(src), len);
+            prop_assert_eq!(got.is_ok(), ok, "copy_from {src:#x} -> {dst:#x}, {len} bytes");
+        }
+        for (mem, model) in mems.iter().zip(&models) {
+            matches_model(mem, model)?;
+        }
     }
 
     /// Translation preserves the page offset and respects permissions.

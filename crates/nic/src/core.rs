@@ -1648,7 +1648,9 @@ impl EngineCore {
             // Gather chain: the head descriptor is fragment 0, its link
             // names the next fragment slot. The walk is bounded by the
             // ring capacity, so a link cycle cannot wedge the engine.
-            let mut frags = vec![(desc.src, desc.len, 0u64)];
+            // `tail` holds the fragments after the head; an unchained
+            // descriptor leaves it empty and unallocated.
+            let mut tail = Vec::new();
             let mut offset = desc.len;
             let mut chain_ok = true;
             if desc.flags & DESC_FLAG_CHAIN != 0 {
@@ -1671,7 +1673,7 @@ impl EngineCore {
                         break;
                     }
                     self.rings[ctx as usize].consumed[slot as usize] = true;
-                    frags.push((f.src, f.len, offset));
+                    tail.push((f.src, f.len, offset));
                     offset += f.len;
                     link = f.link;
                 }
@@ -1682,8 +1684,9 @@ impl EngineCore {
                 out.push(RingLaunch::Rejected(RejectReason::BadRange));
                 continue;
             }
-            let in_chain = frags.len() > 1;
-            for (i, (src, len, off)) in frags.into_iter().enumerate() {
+            let in_chain = !tail.is_empty();
+            let frags = std::iter::once((desc.src, desc.len, 0u64)).chain(tail);
+            for (i, (src, len, off)) in frags.enumerate() {
                 let launch = self.ring_launch(ctx, src, desc.dst, off, len, clock);
                 match launch {
                     RingLaunch::Virt(id) => {

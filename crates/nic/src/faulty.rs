@@ -551,26 +551,29 @@ pub struct DeliveryOutcome {
     pub completed: bool,
 }
 
-/// Carries `data` across the chaos link with go-back-N: frames of
-/// [`ReliabilityConfig::mtu`] bytes, sequence numbers, CRC-32, a
-/// cumulative ACK per window round, NACK-accelerated recovery on CRC
+/// Carries a `len`-byte payload across the chaos link with go-back-N:
+/// frames of [`ReliabilityConfig::mtu`] bytes, sequence numbers, CRC-32,
+/// a cumulative ACK per window round, NACK-accelerated recovery on CRC
 /// failure, retransmit on timeout with exponential backoff, bounded by
-/// the retry budget. Returns the outcome; the bytes the receiver
-/// accepted are `data[..outcome.delivered]`, always a whole-frame
-/// in-order prefix (or all of `data`), so no payload byte is copied here.
+/// the retry budget. Every frame's fate comes from the fault plan, never
+/// from its bytes, so only the length is needed. Returns the outcome;
+/// the bytes the receiver accepted are the payload's first
+/// `outcome.delivered`, always a whole-frame in-order prefix (or the
+/// whole payload), which the caller copies once to its destination.
 ///
 /// Timing: the elapsed time is `link.transfer_time(wire_bytes)` plus
 /// the accumulated stalls, so a run in which nothing goes wrong costs
-/// *exactly* `link.transfer_time(data.len())` — the reliability layer
-/// adds zero `SimTime` until the link actually faults.
+/// *exactly* `link.transfer_time(len)` — the reliability layer adds zero
+/// `SimTime` until the link actually faults.
 pub fn deliver(
     link: &LinkModel,
     rel: &ReliabilityConfig,
     faulty: &mut FaultyLink,
-    data: &[u8],
+    len: u64,
 ) -> DeliveryOutcome {
+    let len = len as usize;
     let mtu = rel.mtu.max(1) as usize;
-    let nframes = data.len().div_ceil(mtu);
+    let nframes = len.div_ceil(mtu);
     let window = rel.window.max(1) as usize;
     let mut o = DeliveryOutcome::default();
     let mut sender_base = 0usize; // frames the sender knows are acked
@@ -590,14 +593,14 @@ pub fn deliver(
 
         // Transmit the window; the chaos link decides each frame's fate.
         // An arrival is (seq, crc_ok): an in-order accept extends the
-        // delivered prefix of `data`, and a corrupted frame is one whose
+        // delivered prefix of the payload, and a corrupted frame is one whose
         // recomputed CRC cannot match its header.
         arrivals.clear();
         let mut swap_with_next: Option<usize> = None;
         for seq in sender_base..end {
             let lo = seq * mtu;
-            let len = (data.len() - lo).min(mtu) as u64;
-            o.wire_bytes += len;
+            let frame = (len - lo).min(mtu) as u64;
+            o.wire_bytes += frame;
             o.frames_sent += 1;
             if seq < sent_upto {
                 o.retransmits += 1;
@@ -614,7 +617,7 @@ pub fn deliver(
                 FrameFate::Deliver => push(&mut arrivals, (seq, true)),
                 FrameFate::Corrupt => push(&mut arrivals, (seq, false)),
                 FrameFate::Duplicate => {
-                    o.wire_bytes += len;
+                    o.wire_bytes += frame;
                     push(&mut arrivals, (seq, true));
                     push(&mut arrivals, (seq, true));
                 }
@@ -671,7 +674,7 @@ pub fn deliver(
     }
 
     o.completed = sender_base >= nframes;
-    o.delivered = (next_expected * mtu).min(data.len()) as u64;
+    o.delivered = (next_expected * mtu).min(len) as u64;
     o.elapsed = link.transfer_time(o.wire_bytes) + o.stall;
     o
 }
@@ -681,10 +684,6 @@ mod tests {
     use super::*;
     use udma_mem::PAGE_SIZE;
     use udma_testkit::crc32_bitwise;
-
-    fn payload(len: usize) -> Vec<u8> {
-        (0..len).map(|i| (i * 31 + 7) as u8).collect()
-    }
 
     #[test]
     fn crc32_check_value() {
@@ -739,31 +738,31 @@ mod tests {
     fn lossless_delivery_costs_exactly_the_bare_link() {
         let link = LinkModel::atm155();
         let rel = ReliabilityConfig::default();
-        let data = payload(3 * 1024 + 100);
+        let len: u64 = 3 * 1024 + 100;
         let mut faulty = FaultyLink::new(FaultPlan::lossless(42));
-        let o = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, len);
         assert!(o.completed);
-        assert_eq!(o.delivered, data.len() as u64);
-        assert_eq!(o.wire_bytes, data.len() as u64);
+        assert_eq!(o.delivered, len);
+        assert_eq!(o.wire_bytes, len);
         assert_eq!(o.retransmits, 0);
         assert_eq!(o.timeouts, 0);
         assert_eq!(o.stall, SimTime::ZERO);
-        assert_eq!(o.elapsed, link.transfer_time(data.len() as u64));
+        assert_eq!(o.elapsed, link.transfer_time(len));
     }
 
     #[test]
     fn drops_force_retransmits_but_bytes_arrive_intact() {
         let link = LinkModel::gigabit();
         let rel = ReliabilityConfig::default();
-        let data = payload(8 * 1024);
+        let len: u64 = 8 * 1024;
         let mut faulty = FaultyLink::new(FaultPlan::lossless(7).with_drop(0.3));
-        let o = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, len);
         assert!(o.completed, "30% loss with budget 6 should get through: {o:?}");
-        assert_eq!(o.delivered, data.len() as u64);
+        assert_eq!(o.delivered, len);
         assert!(o.retransmits > 0);
         assert!(o.timeouts > 0);
         assert!(o.stall > SimTime::ZERO);
-        assert!(o.wire_bytes > data.len() as u64);
+        assert!(o.wire_bytes > len);
         assert_eq!(o.elapsed, link.transfer_time(o.wire_bytes) + o.stall);
     }
 
@@ -771,14 +770,14 @@ mod tests {
     fn corrupted_frames_are_never_accepted() {
         let link = LinkModel::atm155();
         let rel = ReliabilityConfig::default();
-        let data = payload(6 * 1024);
+        let len: u64 = 6 * 1024;
         let mut faulty = FaultyLink::new(FaultPlan::lossless(11).with_corrupt(0.4));
-        let o = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, len);
         assert!(o.crc_dropped > 0, "40% corruption must trip the CRC");
         // Every accepted byte is correct anyway: corruption costs
         // retransmits, never integrity.
         assert!(o.completed);
-        assert_eq!(o.delivered, data.len() as u64);
+        assert_eq!(o.delivered, len);
         assert_eq!(faulty.stats().corrupted as u32, o.crc_dropped);
     }
 
@@ -786,12 +785,12 @@ mod tests {
     fn duplicates_and_reorders_cost_little_and_corrupt_nothing() {
         let link = LinkModel::atm155();
         let rel = ReliabilityConfig::default();
-        let data = payload(8 * 1024);
+        let len: u64 = 8 * 1024;
         let mut faulty =
             FaultyLink::new(FaultPlan::lossless(3).with_duplicate(0.2).with_reorder(0.2));
-        let o = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, len);
         assert!(o.completed);
-        assert_eq!(o.delivered, data.len() as u64);
+        assert_eq!(o.delivered, len);
         assert!(o.dup_ignored > 0 || o.ooo_discarded > 0);
     }
 
@@ -799,10 +798,10 @@ mod tests {
     fn burst_outage_past_the_budget_leaves_an_exact_prefix() {
         let link = LinkModel::atm155();
         let rel = ReliabilityConfig::default();
-        let data = payload(8 * 1024);
+        let len: u64 = 8 * 1024;
         // Everything from frame 2 on is swallowed, far past any budget.
         let mut faulty = FaultyLink::new(FaultPlan::lossless(5).with_burst(2, 1_000_000));
-        let o = deliver(&link, &rel, &mut faulty, &data);
+        let o = deliver(&link, &rel, &mut faulty, len);
         assert!(!o.completed);
         assert_eq!(o.delivered, 2 * 1024);
         assert!(o.timeouts > rel.retry.max_retries);
@@ -812,10 +811,10 @@ mod tests {
     fn same_seed_same_story() {
         let link = LinkModel::atm622();
         let rel = ReliabilityConfig::default();
-        let data = payload(16 * 1024);
+        let len: u64 = 16 * 1024;
         let plan = FaultPlan::lossless(99).with_drop(0.2).with_corrupt(0.1);
-        let a = deliver(&link, &rel, &mut FaultyLink::new(plan), &data);
-        let b = deliver(&link, &rel, &mut FaultyLink::new(plan), &data);
+        let a = deliver(&link, &rel, &mut FaultyLink::new(plan), len);
+        let b = deliver(&link, &rel, &mut FaultyLink::new(plan), len);
         assert_eq!(a, b);
     }
 
@@ -840,20 +839,19 @@ mod tests {
             for seed in 0..24u64 {
                 let retry = RetryPolicy::new((seed % 4) as u32, SimTime::from_us(5));
                 let rel = ReliabilityConfig { retry, ..ReliabilityConfig::default() };
-                let len = 1 + (seed as usize * 1237) % (10 * rel.mtu as usize);
-                let data = payload(len);
+                let len = 1 + (seed * 1237) % (10 * rel.mtu);
                 let plan = FaultPlan { seed, ..*mix };
-                let o = deliver(&link, &rel, &mut FaultyLink::new(plan), &data);
+                let o = deliver(&link, &rel, &mut FaultyLink::new(plan), len);
                 let at = format!("mix {m}, seed {seed}, len {len}: {o:?}");
                 assert!(
-                    o.delivered.is_multiple_of(rel.mtu) || o.delivered == len as u64,
+                    o.delivered.is_multiple_of(rel.mtu) || o.delivered == len,
                     "not a whole-frame prefix, {at}"
                 );
-                assert!(o.delivered <= len as u64, "{at}");
+                assert!(o.delivered <= len, "{at}");
                 if o.completed {
-                    assert_eq!(o.delivered, len as u64, "completed short, {at}");
+                    assert_eq!(o.delivered, len, "completed short, {at}");
                     whole += 1;
-                } else if o.delivered < len as u64 {
+                } else if o.delivered < len {
                     partial += 1;
                 }
             }

@@ -180,6 +180,11 @@ impl DmaMover {
         self.link
     }
 
+    /// Whether `[a, a + size)` lies inside local memory.
+    fn in_memory(&self, a: PhysAddr, size: u64) -> bool {
+        a.as_u64().checked_add(size).is_some_and(|end| end <= self.mem.borrow().size())
+    }
+
     /// Validates and performs a transfer.
     ///
     /// `multipage_ok` is true only for the kernel path, which has checked
@@ -208,12 +213,8 @@ impl DmaMover {
                 return Err(RejectReason::PageCross);
             }
         }
-        {
-            let limit = self.mem.borrow().size();
-            let ok = |a: PhysAddr| a.as_u64().checked_add(size).is_some_and(|e| e <= limit);
-            if !ok(src) || !ok(dst) {
-                return Err(RejectReason::BadRange);
-            }
+        if !self.in_memory(src, size) || !self.in_memory(dst, size) {
+            return Err(RejectReason::BadRange);
         }
         let snoop = match &self.coherence {
             // Coherent engine: the read side intervenes on Modified
@@ -276,46 +277,49 @@ impl DmaMover {
                 return Err(RejectReason::PageCross);
             }
         }
-        let mut buf = vec![0u8; size as usize];
         // Source-side snoop: a remote post must not ship bytes the CPU
         // still holds Modified. (The destination node's coherence is the
-        // receiver's problem.)
+        // receiver's problem.) Only the snooped bytes need staging; a
+        // non-coherent engine copies straight from local memory into the
+        // node's frames below.
+        let mut snooped = Vec::new();
         let src_snoop = match &self.coherence {
             Some(domain) => {
-                domain.borrow_mut().dma_read(src, &mut buf).map_err(|_| RejectReason::BadRange)?
+                snooped.resize(size as usize, 0u8);
+                domain
+                    .borrow_mut()
+                    .dma_read(src, &mut snooped)
+                    .map_err(|_| RejectReason::BadRange)?
             }
-            None => {
-                self.mem.borrow().read_bytes(src, &mut buf).map_err(|_| RejectReason::BadRange)?;
-                SimTime::ZERO
-            }
+            None if !self.in_memory(src, size) => return Err(RejectReason::BadRange),
+            None => SimTime::ZERO,
         };
         self.snoop_time += src_snoop;
         let cluster = self.cluster.as_ref().ok_or(RejectReason::BadRange)?;
         self.last_delivery = None;
-        let (deposited, finished) = match &mut self.faulty {
-            // Chaos attached: the go-back-N layer frames, checksums and
-            // retransmits; only the in-order prefix the receiver acked
-            // is deposited, and the sender's clock carries every
-            // retransmission and stall.
-            Some(faulty) => {
-                let outcome = deliver(&self.link, &self.reliability, faulty, &buf);
-                if outcome.delivered > 0 {
-                    cluster
-                        .borrow_mut()
-                        .deposit(node, addr, &buf[..outcome.delivered as usize])
-                        .map_err(|_| RejectReason::BadRange)?;
-                }
+        // Chaos attached: the go-back-N layer frames, checksums and
+        // retransmits; only the in-order prefix the receiver acked is
+        // deposited, and the sender's clock carries every retransmission
+        // and stall.
+        let outcome =
+            self.faulty.as_mut().map(|faulty| deliver(&self.link, &self.reliability, faulty, size));
+        let deposited = outcome.map_or(size, |o| o.delivered);
+        if deposited > 0 {
+            let mut cluster = cluster.borrow_mut();
+            let landed = if self.coherence.is_some() {
+                cluster.deposit(node, addr, &snooped[..deposited as usize])
+            } else {
+                cluster.deposit_from(node, addr, &self.mem.borrow(), src, deposited)
+            };
+            landed.map_err(|_| RejectReason::BadRange)?;
+        }
+        let finished = match outcome {
+            Some(outcome) => {
                 cluster.borrow_mut().note_delivery(node, &outcome);
                 self.last_delivery = Some(outcome);
-                (outcome.delivered, now + outcome.elapsed + src_snoop)
+                now + outcome.elapsed + src_snoop
             }
-            None => {
-                cluster
-                    .borrow_mut()
-                    .deposit(node, addr, &buf)
-                    .map_err(|_| RejectReason::BadRange)?;
-                (size, now + self.link.transfer_time(size) + src_snoop)
-            }
+            None => now + self.link.transfer_time(size) + src_snoop,
         };
         let rec = TransferRecord {
             src,

@@ -378,7 +378,7 @@ impl SendXfer {
         let (va, len) = self.chunk_span();
         let start = self.cursor as usize;
         let outcome = match chaos {
-            Some(faulty) => deliver(link, rel, faulty, &self.data[start..start + len as usize]),
+            Some(faulty) => deliver(link, rel, faulty, len),
             // An ideal wire: the whole chunk arrives after one
             // serialisation delay, nothing is resent.
             None => DeliveryOutcome {

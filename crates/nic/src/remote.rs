@@ -202,6 +202,28 @@ impl Cluster {
             .map_err(|fault| RemoteError::Mem { node, fault })
     }
 
+    /// Copies `len` bytes at `src` in `from` (the sender's memory)
+    /// straight into `node`'s memory at `addr`: the engine's deposit
+    /// path when the bytes need no staging, with no intermediate buffer.
+    ///
+    /// # Errors
+    ///
+    /// As for [`deposit`](Self::deposit); a source range outside `from`
+    /// also reports as [`RemoteError::Mem`] with that range's fault.
+    pub fn deposit_from(
+        &mut self,
+        node: u32,
+        addr: PhysAddr,
+        from: &PhysMemory,
+        src: PhysAddr,
+        len: u64,
+    ) -> Result<(), RemoteError> {
+        self.node_mut(node)?
+            .mem
+            .copy_from(addr, from, src, len)
+            .map_err(|fault| RemoteError::Mem { node, fault })
+    }
+
     /// Reads from `node`'s memory (experiment inspection: "did the
     /// message arrive?").
     ///
