@@ -91,6 +91,15 @@ echo "== descriptor-ring replay (pinned seed) =="
 # DESIGN.md §4j).
 UDMA_PROP_SEED=3611 cargo test -q --offline --test descring --test ctx_virt
 
+echo "== memory-model replay (pinned seed) =="
+# Seeded replay of the memory substrate's properties: the flat-image
+# differentials for writes, copies and cross-memory deposits, and the
+# copy-on-write isolation property over shared page frames (three
+# memories sharing pages through write_page, copy_from and copy; a write
+# must never show through in another holder; DESIGN.md §4l), pinned for
+# bisection.
+UDMA_PROP_SEED=3612 cargo test -q --offline -p udma-mem --test props
+
 echo "== sim core self-bench (events/sec) =="
 # The E16 self-benchmark: emits BENCH json for the sim target (collected
 # below) and digest-checks every parallel row against the oracle.

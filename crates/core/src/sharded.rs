@@ -820,7 +820,13 @@ impl Shard {
                 }
                 match n.iommu.translate(asid, va, Access::Write) {
                     Ok(pa) => {
-                        n.mem.write_bytes(pa, &bytes).expect("translated deposit in range");
+                        // A whole-page chunk lands by reference: the
+                        // frame shares the sender's payload page.
+                        match bytes.whole_page() {
+                            Some(page) => n.mem.write_page(pa, page),
+                            None => n.mem.write_bytes(pa, &bytes),
+                        }
+                        .expect("translated deposit in range");
                         let accepted = bytes.len() as u64;
                         let env = Envelope {
                             src_node: dst_node,
@@ -1288,8 +1294,9 @@ impl ClusterSim {
         let shard = src_node as usize % self.cfg.shards;
         let n = self.shards[shard].nodes.get_mut(&src_node).expect("node exists");
         let id = XferId { node: src_node, index: n.xfers.len() as u32 };
-        let data = pattern_bytes(id, len);
-        n.xfers.push(SendXfer::new(id, dst_node, asid, va, data, at));
+        let mut pattern = Pattern::new(id);
+        let fill = |seg: &mut [u8]| pattern.fill(seg);
+        n.xfers.push(SendXfer::new(id, dst_node, asid, va, len, at, fill));
         let seq = n.next_seq();
         self.shards[shard].queue.push(
             at,
@@ -1304,7 +1311,9 @@ impl ClusterSim {
     /// The deterministic payload a [`post`](Self::post) generated —
     /// tests compare destination memory against this.
     pub fn expected_payload(id: XferId, len: u64) -> Vec<u8> {
-        pattern_bytes(id, len)
+        let mut out = vec![0u8; len as usize];
+        Pattern::new(id).fill(&mut out);
+        out
     }
 
     /// Runs to global quiescence and returns the runner's report.
@@ -1408,22 +1417,40 @@ impl ClusterSim {
     }
 }
 
-/// Deterministic per-transfer payload pattern (seeded xoshiro stream,
-/// one little-endian draw per eight bytes, the last draw truncated).
-fn pattern_bytes(id: XferId, len: u64) -> Vec<u8> {
-    let seed = 0xDA7A_5EED_0000_0000 ^ (u64::from(id.node) << 20) ^ u64::from(id.index);
-    let mut rng = TestRng::seed_from_u64(seed);
-    // Sized up front and appended to, never zero-filled first: the
-    // payloads are tens of megabytes per cluster.
-    let mut out = Vec::with_capacity(len as usize);
-    for _ in 0..len / 8 {
-        out.extend_from_slice(&rng.next_u64().to_le_bytes());
+/// A transfer's deterministic payload pattern: a seeded xoshiro
+/// stream, one little-endian draw per eight bytes, the last draw
+/// truncated. Successive [`fill`](Self::fill)s write successive pieces
+/// of it, so a payload is generated straight into its pages in one
+/// pass, and any split of it yields the same bytes.
+struct Pattern {
+    rng: TestRng,
+    /// The current draw's bytes; those from `used` on are still unwritten.
+    draw: [u8; 8],
+    used: usize,
+}
+
+impl Pattern {
+    fn new(id: XferId) -> Self {
+        let seed = 0xDA7A_5EED_0000_0000 ^ (u64::from(id.node) << 20) ^ u64::from(id.index);
+        Pattern { rng: TestRng::seed_from_u64(seed), draw: [0; 8], used: 8 }
     }
-    let tail = (len % 8) as usize;
-    if tail > 0 {
-        out.extend_from_slice(&rng.next_u64().to_le_bytes()[..tail]);
+
+    /// Writes the next `out.len()` bytes of the pattern.
+    fn fill(&mut self, out: &mut [u8]) {
+        let carried = (8 - self.used).min(out.len());
+        out[..carried].copy_from_slice(&self.draw[self.used..self.used + carried]);
+        self.used += carried;
+        let mut words = out[carried..].chunks_exact_mut(8);
+        for word in &mut words {
+            word.copy_from_slice(&self.rng.next_u64().to_le_bytes());
+        }
+        let tail = words.into_remainder();
+        if !tail.is_empty() {
+            self.draw = self.rng.next_u64().to_le_bytes();
+            self.used = tail.len();
+            tail.copy_from_slice(&self.draw[..self.used]);
+        }
     }
-    out
 }
 
 /// CRC-32 over a node's entire memory in address order. Resident frames
@@ -1474,6 +1501,42 @@ mod tests {
     }
 
     #[test]
+    fn whole_page_deposits_share_the_senders_payload_pages() {
+        let mut cfg = ClusterConfig::new(2);
+        cfg.pin_on_post = true;
+        let mut sim = granted(cfg, 2);
+        let id = sim.post(0, 1, ASID, VirtAddr::new(DST_VA), 2 * PAGE_SIZE, SimTime::ZERO);
+        sim.run();
+        assert_eq!(sim.xfer(id).state, XferState::Complete);
+        let pa = sim.probe(1, ASID, VirtAddr::new(DST_VA)).expect("pinned translation");
+        let x = &sim.node_ref(0).xfers[id.index as usize];
+        for p in 0..2 {
+            let frame = PhysFrame::new(pa.page().number() + p);
+            let landed = sim.node_ref(1).mem.resident_frame(frame).expect("deposited");
+            let sent = x.page(p as usize).expect("payload page");
+            assert_eq!(landed.as_ptr(), sent.as_ptr(), "page {p} was copied");
+        }
+    }
+
+    #[test]
+    fn the_pattern_is_the_same_however_it_is_split() {
+        let id = XferId { node: 3, index: 9 };
+        let whole = ClusterSim::expected_payload(id, 100);
+        let mut rng = TestRng::seed_from_u64(5);
+        for _ in 0..32 {
+            let mut pattern = Pattern::new(id);
+            let mut got = vec![0u8; whole.len()];
+            let mut at = 0;
+            while at < got.len() {
+                let n = rng.gen_range(0..(got.len() - at) as u64 + 1) as usize;
+                pattern.fill(&mut got[at..at + n]);
+                at += n;
+            }
+            assert_eq!(got, whole);
+        }
+    }
+
+    #[test]
     fn cold_buffer_nacks_once_per_page_without_announce() {
         let cfg = ClusterConfig::new(2); // demand paging, no announce
         let mut sim = granted(cfg, 3);
@@ -1509,7 +1572,7 @@ mod tests {
             let mut want: Vec<u8> =
                 (0..len.div_ceil(8)).flat_map(|_| rng.next_u64().to_le_bytes()).collect();
             want.truncate(len as usize);
-            assert_eq!(pattern_bytes(id, len), want, "len {len}");
+            assert_eq!(ClusterSim::expected_payload(id, len), want, "len {len}");
         }
     }
 

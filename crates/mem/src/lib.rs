@@ -51,6 +51,6 @@ pub use fault::MemFault;
 pub use layout::{PhysLayout, Region};
 pub use page_table::{Access, PageTable, PteEntry};
 pub use perms::Perms;
-pub use phys::{FrameAllocator, PhysMemory};
+pub use phys::{FrameAllocator, PhysMemory, SharedPage};
 pub use shadow::ShadowLayout;
 pub use tlb::{Tlb, TlbEntry, TlbStats};

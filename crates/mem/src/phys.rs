@@ -4,6 +4,7 @@ use crate::{MemFault, PhysAddr, PhysFrame, PAGE_SHIFT, PAGE_SIZE};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// Hashes a frame number with one multiply by a 64-bit odd constant
 /// (Fibonacci hashing). Frame numbers are small integers no adversary
@@ -31,7 +32,80 @@ impl Hasher for FrameHasher {
     }
 }
 
-type FrameMap = HashMap<u64, Box<[u8]>, BuildHasherDefault<FrameHasher>>;
+type FrameMap = HashMap<u64, Frame, BuildHasherDefault<FrameHasher>>;
+
+/// One page of bytes that several holders may reference at once: a
+/// frame several memories share, or a page of a transfer's payload that
+/// a deposit installs by reference (see [`PhysMemory::write_page`]).
+pub type SharedPage = Arc<Box<[u8]>>;
+
+/// A resident frame: owned by this memory, or shared with other holders
+/// of the same page. Reads see the bytes either way. The first write to
+/// a shared frame takes it back ([`Frame::unshare`]); writes to an owned
+/// frame touch no reference count.
+#[derive(Clone, Debug)]
+enum Frame {
+    Owned(Box<[u8]>),
+    Shared(SharedPage),
+}
+
+impl Frame {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Frame::Owned(bytes) => bytes,
+            Frame::Shared(page) => page,
+        }
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        match self {
+            Frame::Owned(bytes) => bytes,
+            Frame::Shared(_) => self.unshare(),
+        }
+    }
+
+    /// Makes a shared frame owned again: without a copy when this was
+    /// the last reference, by copying the page otherwise.
+    #[cold]
+    #[inline(never)]
+    fn unshare(&mut self) -> &mut [u8] {
+        if let Frame::Shared(page) = std::mem::replace(self, Frame::Owned(Box::default())) {
+            *self = Frame::Owned(Arc::try_unwrap(page).unwrap_or_else(|page| (*page).clone()));
+        }
+        match self {
+            Frame::Owned(bytes) => bytes,
+            Frame::Shared(_) => unreachable!("just taken back"),
+        }
+    }
+
+    /// A reference to this frame's page. An owned frame moves its bytes
+    /// into the shared page it becomes, so sharing never copies them.
+    fn share(&mut self) -> SharedPage {
+        if let Frame::Owned(bytes) = self {
+            *self = Frame::Shared(Arc::new(std::mem::take(bytes)));
+        }
+        match self {
+            Frame::Shared(page) => Arc::clone(page),
+            Frame::Owned(_) => unreachable!("just shared"),
+        }
+    }
+}
+
+/// What a write puts in the bytes it covers.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    Bytes(&'a [u8]),
+    Fill(u8),
+}
+
+impl Src<'_> {
+    fn write_to(self, to: &mut [u8]) {
+        match self {
+            Src::Bytes(from) => to.copy_from_slice(from),
+            Src::Fill(byte) => to.fill(byte),
+        }
+    }
+}
 
 /// Byte-addressable physical memory, stored sparsely one frame at a time.
 ///
@@ -42,6 +116,14 @@ type FrameMap = HashMap<u64, Box<[u8]>, BuildHasherDefault<FrameHasher>>;
 /// zero-filled frame. Either way the frame then holds exactly what a
 /// zeroed frame would after that write. All multi-byte accesses are
 /// little-endian, like the Alpha.
+///
+/// A frame may also be shared, by reference, with other memories or
+/// with a transfer's payload: [`write_page`](Self::write_page) installs
+/// a whole page that way, and [`copy_from`](Self::copy_from) shares a
+/// whole aligned source page instead of copying it into a frame that
+/// is not resident yet. The first write to a shared frame takes it
+/// back, with no copy when no other holder is left, so a write never
+/// shows through in another holder.
 ///
 /// ```
 /// use udma_mem::{PhysMemory, PhysAddr};
@@ -128,7 +210,7 @@ impl PhysMemory {
     /// The bytes of `frame` if it has been materialised, `None` if it
     /// was never written (it reads as zeros) or lies outside memory.
     pub fn resident_frame(&self, frame: PhysFrame) -> Option<&[u8]> {
-        self.frames.get(&frame.number()).map(|data| &data[..])
+        self.frames.get(&frame.number()).map(Frame::bytes)
     }
 
     fn check(&self, pa: PhysAddr, len: u64) -> Result<(), MemFault> {
@@ -140,7 +222,8 @@ impl PhysMemory {
     }
 
     fn frame_mut(&mut self, frame: u64) -> &mut [u8] {
-        self.frames.entry(frame).or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
+        let zeros = || Frame::Owned(vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+        self.frames.entry(frame).or_insert_with(zeros).bytes_mut()
     }
 
     /// Reads `buf.len()` bytes starting at `pa`, crossing frame boundaries
@@ -159,7 +242,9 @@ impl PhysMemory {
             let off = (addr & (PAGE_SIZE - 1)) as usize;
             let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - done);
             match self.frames.get(&frame) {
-                Some(data) => buf[done..done + chunk].copy_from_slice(&data[off..off + chunk]),
+                Some(data) => {
+                    buf[done..done + chunk].copy_from_slice(&data.bytes()[off..off + chunk]);
+                }
                 None => buf[done..done + chunk].fill(0),
             }
             done += chunk;
@@ -181,10 +266,31 @@ impl PhysMemory {
         let mut done = 0usize;
         while done < buf.len() {
             let chunk = (room_after(addr) as usize).min(buf.len() - done);
-            self.write_in_frame(addr, Some(&buf[done..done + chunk]), chunk);
+            self.write_in_frame(addr, Src::Bytes(&buf[done..done + chunk]), chunk);
             done += chunk;
             addr += chunk as u64;
         }
+        Ok(())
+    }
+
+    /// Installs `page` as the whole frame at `pa`, by reference: this
+    /// memory and every other holder of `page` then share its bytes
+    /// until one of them writes. Reads and dirty lines are as for a
+    /// [`write_bytes`](Self::write_bytes) of the page's bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`MemFault::BusError`] if the frame is outside installed memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pa` is not page-aligned or `page` is not one page long.
+    pub fn write_page(&mut self, pa: PhysAddr, page: &SharedPage) -> Result<(), MemFault> {
+        assert!(pa.is_aligned_to(PAGE_SIZE), "write_page at unaligned {pa}");
+        assert_eq!(page.len() as u64, PAGE_SIZE, "write_page of a partial page");
+        self.check(pa, PAGE_SIZE)?;
+        self.mark_dirty(pa.as_u64(), PAGE_SIZE);
+        self.frames.insert(pa.as_u64() >> PAGE_SHIFT, Frame::Shared(Arc::clone(page)));
         Ok(())
     }
 
@@ -255,7 +361,13 @@ impl PhysMemory {
     /// (a deposit from one machine's memory into another's), frame to
     /// frame with no intermediate buffer. Destination frames materialise
     /// exactly as [`write_bytes`](Self::write_bytes) would materialise
-    /// them.
+    /// them. A whole aligned page whose source frame is resident is
+    /// shared between the two memories, not copied, when the destination
+    /// frame is not resident yet. A resident destination frame is
+    /// overwritten in place, so a destination that receives again and
+    /// again costs one copy per deposit, as it would without sharing.
+    /// Sharing is the only change to `other`, whose bytes stay as they
+    /// were.
     ///
     /// # Errors
     ///
@@ -264,7 +376,7 @@ impl PhysMemory {
     pub fn copy_from(
         &mut self,
         dst: PhysAddr,
-        other: &PhysMemory,
+        other: &mut PhysMemory,
         src: PhysAddr,
         len: u64,
     ) -> Result<(), MemFault> {
@@ -276,8 +388,16 @@ impl PhysMemory {
         while done < len {
             let (s, d) = (src + done, dst + done);
             let n = (len - done).min(room_after(s)).min(room_after(d));
-            let from = other.frames.get(&(s >> PAGE_SHIFT)).map(|f| &f[offset(s)..][..n as usize]);
-            self.write_in_frame(d, from, n as usize);
+            match other.frames.get_mut(&(s >> PAGE_SHIFT)) {
+                Some(from) if n == PAGE_SIZE && !self.frames.contains_key(&(d >> PAGE_SHIFT)) => {
+                    self.frames.insert(d >> PAGE_SHIFT, Frame::Shared(from.share()));
+                }
+                Some(from) => {
+                    let from = &from.bytes()[offset(s)..][..n as usize];
+                    self.write_in_frame(d, Src::Bytes(from), n as usize);
+                }
+                None => self.write_in_frame(d, Src::Fill(0), n as usize),
+            }
             done += n;
         }
         Ok(())
@@ -293,33 +413,34 @@ impl PhysMemory {
             frame.copy_within(so..so + n, dof);
         } else if self.frames.contains_key(&df) {
             match self.frames.get_disjoint_mut([&sf, &df]) {
-                [Some(from), Some(to)] => to[dof..dof + n].copy_from_slice(&from[so..so + n]),
-                [None, Some(to)] => to[dof..dof + n].fill(0),
+                [Some(from), Some(to)] => {
+                    to.bytes_mut()[dof..dof + n].copy_from_slice(&from.bytes()[so..so + n]);
+                }
+                [None, Some(to)] => to.bytes_mut()[dof..dof + n].fill(0),
                 _ => unreachable!("destination frame checked present"),
             }
         } else {
             // Borrow the source only while building the new frame, then
             // insert it: an absent destination cannot alias the source.
-            let from = self.frames.get(&sf).map(|f| &f[so..so + n]);
+            let from = match self.frames.get(&sf) {
+                Some(f) => Src::Bytes(&f.bytes()[so..so + n]),
+                None => Src::Fill(0),
+            };
             let frame = new_frame(dof, from, n);
             self.frames.insert(df, frame);
         }
     }
 
-    /// Writes `n` bytes (zeros when `from` is `None`, an absent source
-    /// frame) at `dst`, inside one frame, materialising it if needed.
+    /// Writes `n` bytes of `from` at `dst`, inside one frame,
+    /// materialising it if needed and taking it back if it is shared.
     /// Every write to memory lands through here or through
     /// [`copy_in_frames`](Self::copy_in_frames), which materialises
-    /// frames the same way.
-    fn write_in_frame(&mut self, dst: u64, from: Option<&[u8]>, n: usize) {
+    /// frames the same way, or installs a whole shared page.
+    fn write_in_frame(&mut self, dst: u64, from: Src<'_>, n: usize) {
         let off = offset(dst);
         match self.frames.entry(dst >> PAGE_SHIFT) {
             Entry::Occupied(frame) => {
-                let to = &mut frame.into_mut()[off..off + n];
-                match from {
-                    Some(from) => to.copy_from_slice(from),
-                    None => to.fill(0),
-                }
+                from.write_to(&mut frame.into_mut().bytes_mut()[off..off + n]);
             }
             Entry::Vacant(slot) => {
                 slot.insert(new_frame(off, from, n));
@@ -327,15 +448,22 @@ impl PhysMemory {
         }
     }
 
-    /// Fills `len` bytes at `pa` with `byte`.
+    /// Fills `len` bytes at `pa` with `byte`, frame by frame.
     ///
     /// # Errors
     ///
     /// [`MemFault::BusError`] if the range is outside installed memory.
     pub fn fill(&mut self, pa: PhysAddr, len: u64, byte: u8) -> Result<(), MemFault> {
         self.check(pa, len)?;
-        let buf = vec![byte; len as usize];
-        self.write_bytes(pa, &buf)
+        self.mark_dirty(pa.as_u64(), len);
+        let mut addr = pa.as_u64();
+        let end = addr + len;
+        while addr < end {
+            let chunk = room_after(addr).min(end - addr);
+            self.write_in_frame(addr, Src::Fill(byte), chunk as usize);
+            addr += chunk;
+        }
+        Ok(())
     }
 }
 
@@ -354,20 +482,18 @@ fn room_before(end: u64) -> u64 {
     ((end - 1) & (PAGE_SIZE - 1)) + 1
 }
 
-/// A frame materialised by its first write: `n` bytes of `from` (zeros
-/// when `None`) at `off`, zero elsewhere. A whole-frame write is built
-/// from the bytes directly, with no zero-fill first.
-fn new_frame(off: usize, from: Option<&[u8]>, n: usize) -> Box<[u8]> {
-    match from {
-        Some(from) if n == PAGE_SIZE as usize => from.into(),
+/// A frame materialised by its first write: `n` bytes of `from` at
+/// `off`, zero elsewhere. A whole-frame write is built from its bytes
+/// directly, with no zero-fill first.
+fn new_frame(off: usize, from: Src<'_>, n: usize) -> Frame {
+    Frame::Owned(match from {
+        Src::Bytes(from) if n == PAGE_SIZE as usize => from.into(),
         _ => {
             let mut frame = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
-            if let Some(from) = from {
-                frame[off..off + n].copy_from_slice(from);
-            }
+            from.write_to(&mut frame[off..off + n]);
             frame
         }
-    }
+    })
 }
 
 /// A bump-plus-free-list allocator of physical page frames.
@@ -462,6 +588,51 @@ mod tests {
         assert_eq!(mem.resident_frames(), 2);
         assert_eq!(mem.resident_frame(PhysFrame::new(1)), Some(&twice[..PAGE_SIZE as usize]));
         assert_eq!(mem.resident_frame(PhysFrame::new(2)), Some(&twice[PAGE_SIZE as usize..]));
+    }
+
+    #[test]
+    fn a_shared_frame_is_copied_on_write_only_while_another_holder_is_left() {
+        let frame = |n: u64| PhysFrame::new(n);
+        let page: SharedPage = Arc::new(vec![7u8; PAGE_SIZE as usize].into_boxed_slice());
+        let mut a = PhysMemory::new(4 * PAGE_SIZE);
+        a.track_lines(64);
+        a.write_page(frame(1).base(), &page).unwrap();
+        assert_eq!(a.resident_frame(frame(1)).unwrap().as_ptr(), page.as_ptr());
+        assert_eq!(a.dirty_lines().len() as u64, PAGE_SIZE / 64);
+        // `page` is still held here, so the write copies the frame.
+        a.write_u64(frame(1).base(), 1).unwrap();
+        assert_ne!(a.resident_frame(frame(1)).unwrap().as_ptr(), page.as_ptr());
+        assert_eq!(page[..8], [7; 8]);
+        assert_eq!(a.read_u64(frame(1).base()).unwrap(), 1);
+
+        // A whole-page copy within one memory copies the bytes; a
+        // whole-page deposit into another memory's absent frame shares
+        // them, and one into a resident frame overwrites it in place.
+        let owned = a.resident_frame(frame(1)).unwrap().as_ptr();
+        a.copy(frame(1).base(), frame(3).base(), PAGE_SIZE).unwrap();
+        assert_ne!(a.resident_frame(frame(3)).unwrap().as_ptr(), owned);
+        let mut b = PhysMemory::new(4 * PAGE_SIZE);
+        b.write_u64(frame(3).base(), 9).unwrap();
+        let kept = b.resident_frame(frame(3)).unwrap().as_ptr();
+        b.copy_from(frame(2).base(), &mut a, frame(1).base(), PAGE_SIZE).unwrap();
+        b.copy_from(frame(3).base(), &mut a, frame(1).base(), PAGE_SIZE).unwrap();
+        assert_eq!(a.resident_frame(frame(1)).unwrap().as_ptr(), owned, "sharing moved the bytes");
+        assert_eq!(b.resident_frame(frame(2)).unwrap().as_ptr(), owned);
+        assert_eq!(b.resident_frame(frame(3)).unwrap().as_ptr(), kept);
+        assert_eq!(b.read_u64(frame(3).base()).unwrap(), 1);
+        // Once the other holders are gone, the last one writes in place.
+        drop(a);
+        b.write_u64(frame(2).base() + 8, 3).unwrap();
+        assert_eq!(b.resident_frame(frame(2)).unwrap().as_ptr(), owned);
+        assert_eq!(b.read_u64(frame(2).base()).unwrap(), 1);
+        assert_eq!(b.read_u64(frame(2).base() + 8).unwrap(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned")]
+    fn write_page_needs_an_aligned_frame() {
+        let page: SharedPage = Arc::new(vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+        let _ = PhysMemory::new(4 * PAGE_SIZE).write_page(PhysAddr::new(8), &page);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Property-based tests for the memory substrate.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use udma_testkit::prop::{any, vec, CaseResult};
 use udma_testkit::rng::TestRng;
 use udma_testkit::{prop_assert, prop_assert_eq, props};
 
 use udma_mem::{
     Access, FrameAllocator, MemFault, PageTable, Perms, PhysAddr, PhysFrame, PhysMemory,
-    ShadowLayout, VirtAddr, VirtPage, PAGE_SIZE,
+    ShadowLayout, SharedPage, VirtAddr, VirtPage, PAGE_SIZE,
 };
 
 /// A flat reference model of [`PhysMemory`]: every byte, the frames a
@@ -299,12 +300,117 @@ props! {
                 models[to].write(dst, &data)
             };
             let [a, b] = &mut mems;
-            let (dst_mem, src_mem) = if to == 0 { (a, &*b) } else { (b, &*a) };
+            let (dst_mem, src_mem) = if to == 0 { (a, b) } else { (b, a) };
             let got = dst_mem.copy_from(PhysAddr::new(dst), src_mem, PhysAddr::new(src), len);
             prop_assert_eq!(got.is_ok(), ok, "copy_from {src:#x} -> {dst:#x}, {len} bytes");
         }
         for (mem, model) in mems.iter().zip(&models) {
             matches_model(mem, model)?;
+        }
+    }
+
+    /// Copy-on-write isolation: three memories share pages through
+    /// `write_page` and whole-page `copy_from` deposits, and take random
+    /// writes, fills and copies (into and out of shared frames) in
+    /// between.
+    /// Each memory must match its own flat model, and every page handed
+    /// to `write_page` must still hold what it was built with: a write
+    /// to a shared frame never shows through in another holder.
+    fn shared_frames_never_leak_writes(
+        seed in any::<u64>(),
+        ops in 1usize..64,
+    ) {
+        const FRAMES: u64 = 4;
+        const LINE: u64 = 64;
+        let size = FRAMES * PAGE_SIZE;
+        let mut mems = [(); 3].map(|_| PhysMemory::new(size));
+        let mut models = [(); 3].map(|_| FlatMemory::new(FRAMES, LINE));
+        for mem in &mut mems {
+            mem.track_lines(LINE);
+        }
+        let mut pages: Vec<(SharedPage, Vec<u8>)> = Vec::new();
+        let mut rng = TestRng::seed_from_u64(seed);
+        for _ in 0..ops {
+            let i = rng.gen_index(3);
+            let frame = rng.gen_range(0..FRAMES) * PAGE_SIZE;
+            match rng.gen_index(7) {
+                // Install a page by reference: a fresh one, or one
+                // already installed somewhere.
+                0 => {
+                    let page = match pages.len() {
+                        n if n > 0 && rng.gen_bool(0.5) => Arc::clone(&pages[rng.gen_index(n)].0),
+                        _ => {
+                            let salt = rng.next_u64() as u8;
+                            let bytes: Vec<u8> =
+                                (0..PAGE_SIZE).map(|b| (b as u8).wrapping_mul(13) ^ salt).collect();
+                            let page: SharedPage = Arc::new(bytes.clone().into_boxed_slice());
+                            pages.push((Arc::clone(&page), bytes));
+                            page
+                        }
+                    };
+                    prop_assert!(models[i].write(frame, &page));
+                    mems[i].write_page(PhysAddr::new(frame), &page).unwrap();
+                }
+                // A deposit from another memory: whole aligned pages
+                // (shared into an absent destination frame) or any range
+                // (copied).
+                1 | 2 => {
+                    let j = (i + 1 + rng.gen_index(2)) % 3;
+                    let (src, dst, len) = if rng.gen_bool(0.7) {
+                        let pages = rng.gen_range(1..3);
+                        let pick = |rng: &mut TestRng| rng.gen_range(0..FRAMES - pages + 1) * PAGE_SIZE;
+                        (pick(&mut rng), pick(&mut rng), pages * PAGE_SIZE)
+                    } else {
+                        copy_case(&mut rng, FRAMES, &models[j].resident)
+                    };
+                    let ok = src + len <= size && {
+                        let data = models[j].bytes[src as usize..(src + len) as usize].to_vec();
+                        models[i].write(dst, &data)
+                    };
+                    let [to, from] = mems.get_disjoint_mut([i, j]).unwrap();
+                    let got = to.copy_from(PhysAddr::new(dst), from, PhysAddr::new(src), len);
+                    prop_assert_eq!(got.is_ok(), ok, "copy_from {src:#x} -> {dst:#x}, {len} bytes");
+                }
+                // A copy within one memory: whole aligned pages or any range.
+                3 => {
+                    let (src, dst, len) = if rng.gen_bool(0.6) {
+                        let to = rng.gen_range(0..FRAMES) * PAGE_SIZE;
+                        (frame, to, PAGE_SIZE)
+                    } else {
+                        copy_case(&mut rng, FRAMES, &models[i].resident)
+                    };
+                    let ok = models[i].copy(src, dst, len);
+                    let got = mems[i].copy(PhysAddr::new(src), PhysAddr::new(dst), len);
+                    prop_assert_eq!(got.is_ok(), ok, "copy {src:#x} -> {dst:#x}, {len} bytes");
+                }
+                // A write, a fill or a store anywhere.
+                4 => {
+                    let pa = rng.gen_range(0..size);
+                    let len = rng.gen_range(1..size - pa + 1).min(2 * PAGE_SIZE);
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    prop_assert!(models[i].write(pa, &data));
+                    mems[i].write_bytes(PhysAddr::new(pa), &data).unwrap();
+                }
+                5 => {
+                    let pa = rng.gen_range(0..size);
+                    let len = rng.gen_range(1..size - pa + 1);
+                    let byte = rng.next_u64() as u8;
+                    prop_assert!(models[i].write(pa, &vec![byte; len as usize]));
+                    mems[i].fill(PhysAddr::new(pa), len, byte).unwrap();
+                }
+                _ => {
+                    let pa = rng.gen_range(0..size / 8) * 8;
+                    let value = rng.next_u64();
+                    prop_assert!(models[i].write(pa, &value.to_le_bytes()));
+                    mems[i].write_u64(PhysAddr::new(pa), value).unwrap();
+                }
+            }
+        }
+        for (mem, model) in mems.iter().zip(&models) {
+            matches_model(mem, model)?;
+        }
+        for (page, built) in &pages {
+            prop_assert!(page[..] == built[..], "a write reached a page held outside");
         }
     }
 

@@ -309,7 +309,7 @@ impl DmaMover {
             let landed = if self.coherence.is_some() {
                 cluster.deposit(node, addr, &snooped[..deposited as usize])
             } else {
-                cluster.deposit_from(node, addr, &self.mem.borrow(), src, deposited)
+                cluster.deposit_from(node, addr, &mut self.mem.borrow_mut(), src, deposited)
             };
             landed.map_err(|_| RejectReason::BadRange)?;
         }

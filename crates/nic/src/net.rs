@@ -24,7 +24,7 @@ use std::ops::{Deref, Range};
 use std::sync::Arc;
 use udma_bus::SimTime;
 use udma_iommu::{Asid, IoFault};
-use udma_mem::{VirtAddr, PAGE_SIZE};
+use udma_mem::{SharedPage, VirtAddr, PAGE_SIZE};
 
 /// Globally unique transfer id: source node plus the node's posting
 /// index. Stable across shard layouts by construction.
@@ -42,25 +42,32 @@ impl fmt::Display for XferId {
     }
 }
 
-/// A read-only view of part of a transfer's payload: the buffer the
-/// sender posted, shared rather than copied, plus the visible range.
-/// Dereferences to the visible bytes; equality and `Debug` go by them
-/// alone, as for a `Vec<u8>` holding the same bytes.
+/// A read-only view of part of a transfer's payload: one page of it,
+/// shared rather than copied, plus the visible range. Dereferences to
+/// the visible bytes; equality and `Debug` go by them alone, as for a
+/// `Vec<u8>` holding the same bytes.
 #[derive(Clone)]
 pub struct ChunkBytes {
-    buf: Arc<Vec<u8>>,
+    page: SharedPage,
     range: Range<usize>,
 }
 
 impl ChunkBytes {
-    /// The bytes `range` of `buf`.
+    /// The bytes `range` of `page`.
     ///
     /// # Panics
     ///
-    /// Panics if `range` lies outside `buf`.
-    pub(crate) fn new(buf: Arc<Vec<u8>>, range: Range<usize>) -> Self {
-        assert!(range.start <= range.end && range.end <= buf.len(), "chunk outside its buffer");
-        ChunkBytes { buf, range }
+    /// Panics if `range` lies outside `page`.
+    pub(crate) fn new(page: SharedPage, range: Range<usize>) -> Self {
+        assert!(range.start <= range.end && range.end <= page.len(), "chunk outside its page");
+        ChunkBytes { page, range }
+    }
+
+    /// The whole page, when the chunk covers all of it: a receiver can
+    /// then install it by reference
+    /// ([`PhysMemory::write_page`](udma_mem::PhysMemory::write_page)).
+    pub fn whole_page(&self) -> Option<&SharedPage> {
+        (self.range.start == 0 && self.range.end as u64 == PAGE_SIZE).then_some(&self.page)
     }
 }
 
@@ -68,7 +75,7 @@ impl Deref for ChunkBytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.buf[self.range.clone()]
+        &self.page[self.range.clone()]
     }
 }
 
@@ -262,10 +269,16 @@ pub struct SendXfer {
     pub dst_node: u32,
     /// Destination address space on that node.
     pub dst_asid: Asid,
-    /// Destination base VA.
-    pub dst_va: VirtAddr,
-    /// The payload, shared with the data chunks in flight.
-    data: Arc<Vec<u8>>,
+    /// Destination base VA; fixed, since the payload is laid out by it.
+    dst_va: VirtAddr,
+    /// The payload, one page per destination page it lands in, each at
+    /// the offset it lands at: payload byte `i` is byte
+    /// `dst_va.page_offset() + i` of the pages laid end to end. Shared
+    /// with the data chunks in flight, and with the receivers' frames a
+    /// whole-page chunk was installed in.
+    pages: Vec<SharedPage>,
+    /// Payload length in bytes.
+    len: u64,
     /// Bytes acked so far (the next chunk starts here).
     cursor: u64,
     /// Next chunk index (increments on ACK, not on resend).
@@ -287,22 +300,40 @@ pub struct SendXfer {
 }
 
 impl SendXfer {
-    /// A freshly posted transfer.
+    /// A freshly posted transfer of `len` bytes that `fill` writes
+    /// straight into the payload's pages: it is handed consecutive
+    /// pieces of the payload, in order, one per destination page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero.
     pub fn new(
         id: XferId,
         dst_node: u32,
         dst_asid: Asid,
         dst_va: VirtAddr,
-        data: Vec<u8>,
+        len: u64,
         posted_at: SimTime,
+        mut fill: impl FnMut(&mut [u8]),
     ) -> Self {
-        assert!(!data.is_empty(), "zero-byte transfers are rejected at post time");
+        assert!(len > 0, "zero-byte transfers are rejected at post time");
+        let off = dst_va.page_offset();
+        let pages = (0..(off + len).div_ceil(PAGE_SIZE))
+            .map(|i| {
+                let start = (i * PAGE_SIZE).max(off);
+                let end = ((i + 1) * PAGE_SIZE).min(off + len);
+                let mut bytes = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
+                fill(&mut bytes[offset_in_page(start)..][..(end - start) as usize]);
+                Arc::new(bytes)
+            })
+            .collect();
         SendXfer {
             id,
             dst_node,
             dst_asid,
             dst_va,
-            data: Arc::new(data),
+            pages,
+            len,
             cursor: 0,
             chunk: 0,
             retries: 0,
@@ -319,6 +350,18 @@ impl SendXfer {
         self.state
     }
 
+    /// Destination base VA.
+    pub fn dst_va(&self) -> VirtAddr {
+        self.dst_va
+    }
+
+    /// The `index`th page of the payload as laid out at the
+    /// destination (bytes outside the payload read as zero), or `None`
+    /// past the last.
+    pub fn page(&self, index: usize) -> Option<&[u8]> {
+        self.pages.get(index).map(|page| &page[..])
+    }
+
     /// Bytes acked so far — the delivered in-order prefix.
     pub fn cursor(&self) -> u64 {
         self.cursor
@@ -332,12 +375,12 @@ impl SendXfer {
 
     /// Payload length in bytes.
     pub fn len(&self) -> u64 {
-        self.data.len() as u64
+        self.len
     }
 
     /// Whether the payload is empty (never true — posts reject it).
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     /// The whole destination range, as announced ahead of the first
@@ -376,7 +419,6 @@ impl SendXfer {
         assert!(self.cursor < self.len(), "launch with nothing left to send on {}", self.id);
         self.state = XferState::Streaming;
         let (va, len) = self.chunk_span();
-        let start = self.cursor as usize;
         let outcome = match chaos {
             Some(faulty) => deliver(link, rel, faulty, len),
             // An ideal wire: the whole chunk arrives after one
@@ -390,8 +432,10 @@ impl SendXfer {
                 ..DeliveryOutcome::default()
             },
         };
-        let bytes =
-            ChunkBytes::new(Arc::clone(&self.data), start..start + outcome.delivered as usize);
+        // The chunk stops at a page boundary, so it lies in one page.
+        let at = self.dst_va.page_offset() + self.cursor;
+        let (page, start) = (&self.pages[(at / PAGE_SIZE) as usize], offset_in_page(at));
+        let bytes = ChunkBytes::new(Arc::clone(page), start..start + outcome.delivered as usize);
         self.counters.launches += 1;
         self.counters.retransmits += u64::from(outcome.retransmits);
         self.counters.wire_bytes += outcome.wire_bytes;
@@ -500,27 +544,40 @@ impl SendXfer {
     }
 }
 
+/// Offset of byte `at` of a page-aligned layout within its page.
+fn offset_in_page(at: u64) -> usize {
+    (at % PAGE_SIZE) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faulty::FaultPlan;
 
     fn xfer(bytes: u64) -> SendXfer {
-        SendXfer::new(
-            XferId { node: 0, index: 0 },
-            1,
-            7,
-            VirtAddr::new(4 * PAGE_SIZE),
-            vec![0xAB; bytes as usize],
-            SimTime::ZERO,
-        )
+        xfer_at(VirtAddr::new(4 * PAGE_SIZE), bytes)
+    }
+
+    fn xfer_at(dst_va: VirtAddr, bytes: u64) -> SendXfer {
+        xfer_of(dst_va, &vec![0xAB; bytes as usize])
+    }
+
+    /// A transfer of `data`, copied into its pages.
+    fn xfer_of(dst_va: VirtAddr, data: &[u8]) -> SendXfer {
+        let mut rest = data;
+        let fill = |seg: &mut [u8]| {
+            let (head, tail) = rest.split_at(seg.len());
+            seg.copy_from_slice(head);
+            rest = tail;
+        };
+        let id = XferId { node: 0, index: 0 };
+        SendXfer::new(id, 1, 7, dst_va, data.len() as u64, SimTime::ZERO, fill)
     }
 
     #[test]
     fn chunks_never_cross_page_boundaries() {
-        let mut x = xfer(3 * PAGE_SIZE);
         // Unaligned start: first chunk stops at the boundary.
-        x.dst_va = VirtAddr::new(4 * PAGE_SIZE + 0x100);
+        let mut x = xfer_at(VirtAddr::new(4 * PAGE_SIZE + 0x100), 3 * PAGE_SIZE);
         let (va, len) = x.chunk_span();
         assert_eq!(va, VirtAddr::new(4 * PAGE_SIZE + 0x100));
         assert_eq!(len, PAGE_SIZE - 0x100);
@@ -557,36 +614,54 @@ mod tests {
         let link = LinkModel::atm155();
         let rel = ReliabilityConfig::default();
         let data: Vec<u8> = (0..3 * PAGE_SIZE).map(|i| (i * 13 + 5) as u8).collect();
-        let mut x = SendXfer::new(
-            XferId { node: 0, index: 0 },
-            1,
-            7,
-            VirtAddr::new(4 * PAGE_SIZE + 0x300),
-            data.clone(),
-            SimTime::ZERO,
-        );
+        let dst_va = VirtAddr::new(4 * PAGE_SIZE + 0x300);
+        let mut x = xfer_of(dst_va, &data);
+        assert_eq!(x.dst_va(), dst_va);
         let mut now = SimTime::ZERO;
+        let mut whole = 0;
         while x.state() != XferState::Complete {
             let cursor = x.cursor() as usize;
-            let (_, len) = x.chunk_span();
+            let (va, len) = x.chunk_span();
             let (msg, arrival) = x.launch_chunk(now, &link, &rel, None);
             let NetMsg::Data { chunk, bytes, .. } = msg else { panic!("data") };
-            let want = &x.data[cursor..cursor + len as usize];
+            // Each chunk views the payload page it lands in, at the
+            // offset it lands at.
+            let at = 0x300 + cursor as u64;
+            let page = x.page((at / PAGE_SIZE) as usize).expect("chunk inside the payload");
+            let want = &page[va.page_offset() as usize..][..len as usize];
             assert_eq!(bytes.as_ptr(), want.as_ptr(), "chunk at {cursor} was copied");
             assert_eq!(&*bytes, &data[cursor..cursor + len as usize]);
+            if let Some(shared) = bytes.whole_page() {
+                assert_eq!(shared.as_ptr(), page.as_ptr());
+                whole += 1;
+            }
             now = arrival + link.latency();
             x.on_ack(chunk, bytes.len() as u64, now);
         }
         assert_eq!(x.counters.moved, data.len() as u64);
+        // An unaligned 3-page payload: a partial head, two whole pages,
+        // a partial tail.
+        assert_eq!(whole, 2);
+        assert!(x.page(4).is_none());
     }
 
     #[test]
     fn chunk_bytes_compare_and_print_by_visible_bytes() {
-        let a = ChunkBytes::new(Arc::new(vec![9, 1, 2, 3, 9]), 1..4);
-        let b = ChunkBytes::new(Arc::new(vec![1, 2, 3]), 0..3);
+        let page_with = |at: usize, bytes: &[u8]| {
+            let mut page = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
+            page[at..at + bytes.len()].copy_from_slice(bytes);
+            Arc::new(page)
+        };
+        let a = ChunkBytes::new(page_with(0, &[9, 1, 2, 3, 9]), 1..4);
+        let b = ChunkBytes::new(page_with(0x200, &[1, 2, 3]), 0x200..0x203);
         assert_eq!(a, b);
         assert_eq!(format!("{a:?}"), format!("{:?}", vec![1u8, 2, 3]));
-        assert_ne!(a, ChunkBytes::new(Arc::new(vec![1, 2, 3]), 0..2));
+        assert_ne!(a, ChunkBytes::new(page_with(0, &[1, 2, 3]), 0..2));
+        // Only a chunk covering its whole page offers it by reference.
+        assert!(a.whole_page().is_none());
+        let page = page_with(0, &[1, 2, 3]);
+        let whole = ChunkBytes::new(Arc::clone(&page), 0..PAGE_SIZE as usize);
+        assert!(Arc::ptr_eq(whole.whole_page().expect("covers its page"), &page));
         fn is_send<T: Send>() {}
         is_send::<NetMsg>();
     }

@@ -205,6 +205,8 @@ impl Cluster {
     /// Copies `len` bytes at `src` in `from` (the sender's memory)
     /// straight into `node`'s memory at `addr`: the engine's deposit
     /// path when the bytes need no staging, with no intermediate buffer.
+    /// Whole aligned pages are shared with `from`, not copied
+    /// ([`PhysMemory::copy_from`]).
     ///
     /// # Errors
     ///
@@ -214,7 +216,7 @@ impl Cluster {
         &mut self,
         node: u32,
         addr: PhysAddr,
-        from: &PhysMemory,
+        from: &mut PhysMemory,
         src: PhysAddr,
         len: u64,
     ) -> Result<(), RemoteError> {
@@ -222,6 +224,12 @@ impl Cluster {
             .mem
             .copy_from(addr, from, src, len)
             .map_err(|fault| RemoteError::Mem { node, fault })
+    }
+
+    /// `node`'s memory (test inspection: which frames a deposit left
+    /// resident, and whether it shares them).
+    pub fn node_memory(&self, node: u32) -> Option<&PhysMemory> {
+        self.nodes.get(node as usize).map(|n| &n.mem)
     }
 
     /// Reads from `node`'s memory (experiment inspection: "did the

@@ -69,6 +69,40 @@ fn remote_demand_transfer_completes_with_one_nack_per_page() {
     assert_eq!(got, data, "remote deposit mismatch");
 }
 
+/// A whole-page remote deposit leaves the sender's frame and the
+/// remote node's frame sharing one page of bytes, and a later store to
+/// the source takes the sender's frame back without reaching the
+/// remote copy.
+#[test]
+fn whole_page_remote_deposit_shares_the_frame_until_a_store() {
+    let mut m = remote_machine();
+    let pid = m.spawn(&ProcessSpec::two_buffers_of(1), |_| ProgramBuilder::new().halt().build());
+    let buf =
+        m.grant_remote_buffer(NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), 1, Perms::READ_WRITE);
+    let src = m.env(pid).buffer(0).va;
+    let src_frame = m.env(pid).buffer(0).first_frame;
+    let data = payload(PAGE_SIZE as usize);
+    let mem = m.memory();
+    mem.borrow_mut().write_bytes(src_frame.base(), &data).unwrap();
+    let id = m
+        .post_virt_remote(pid, src, NODE, REMOTE_ASID, VirtAddr::new(REMOTE_VA), PAGE_SIZE)
+        .unwrap();
+    assert_eq!(m.run_virt(id, 64), VirtState::Complete);
+
+    let cluster = m.cluster().unwrap();
+    {
+        let (local, cl) = (mem.borrow(), cluster.borrow());
+        let remote = cl.node_memory(NODE).unwrap().resident_frame(buf.first_frame);
+        let local = local.resident_frame(src_frame).unwrap();
+        assert_eq!(remote.expect("deposited").as_ptr(), local.as_ptr(), "page was copied");
+    }
+    mem.borrow_mut().write_u64(src_frame.base(), u64::MAX).unwrap();
+    let mut got = vec![0u8; data.len()];
+    cluster.borrow().read(NODE, buf.first_frame.base(), &mut got).unwrap();
+    assert_eq!(got, data, "a store to the source reached the remote copy");
+    assert_eq!(mem.borrow().read_u64(src_frame.base()).unwrap(), u64::MAX);
+}
+
 /// Tentpole acceptance (remote half): with the translation pipeline on,
 /// the sender announces the destination range at post time, so the
 /// first receive-side fault hands the node's OS the *whole* range — a
